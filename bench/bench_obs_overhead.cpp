@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
 
   // The verdict must reflect the *disabled* path regardless of environment.
   obs::set_metrics_mode(obs::ReportMode::kOff);
-  obs::set_timeline_path("");
-  obs::set_reqtrace_path("");
-  obs::set_kernprof_path("");
+  obs::timeline_sink().set_path("");
+  obs::reqtrace_sink().set_path("");
+  obs::kernprof_sink().set_path("");
 
   const std::vector<Point> pts = workload();
   const SimConfig config = make_sim_config(512, 1u << 20);
@@ -239,10 +239,10 @@ int main(int argc, char** argv) {
     // (VLACNN_KERNPROF — phase deltas, counter windows, sink recording).
     const auto kp_path = std::filesystem::temp_directory_path() /
                          "bench_obs_overhead.kernprof.jsonl";
-    obs::set_kernprof_path(kp_path.string());
+    obs::kernprof_sink().set_path(kp_path.string());
     const Measurement kp = measure(pts, config, kInfoReps);
-    obs::set_kernprof_path("");
-    obs::KernProfSink::global().reset();
+    obs::kernprof_sink().set_path("");
+    obs::kernprof_sink().reset();
     std::filesystem::remove(kp_path);
     std::snprintf(tail, sizeof tail, "   overhead %+.2f%%  (informational)",
                   (kp.obs.med / kp.base.med - 1.0) * 100.0);

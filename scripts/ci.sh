@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verification plus a TSan pass over the concurrency
-# tests (thread pool, results DB single-flight, parallel sweep, obs counters).
+# CI entry point: tier-1 verification, a TSan pass over the concurrency tests
+# (thread pool, results DB single-flight, parallel sweep, obs counters), and
+# a full-suite ASan pass.
 #
 # Usage: scripts/ci.sh            # from the repo root
 #   JOBS=8 scripts/ci.sh          # override parallelism (default: nproc)
@@ -21,6 +22,14 @@ cmake --build build-tsan -j "$JOBS" --target vlacnn_tests
 # whole grid. VLACNN_THREADS forces real interleaving even on 1-core CI.
 VLACNN_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'ThreadPool|ResultsDb|SingleFlight|Parallel|Concurrent|Obs'
+
+echo "== asan: full suite under VLACNN_SANITIZE=address ======================="
+# Every test, not a subset: the serving event loop indexes per-(chip,
+# instance) vectors and the obs sinks outlive static teardown, which is what
+# AddressSanitizer (with its leak checker) watches.
+cmake -B build-asan -S . -DVLACNN_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$JOBS" --target vlacnn_tests
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== report: perf-regression gate vs BENCH_report_baseline.json =========="
 # A warm run (the committed results/sweep_cache.csv covers the fig01 grid with

@@ -218,13 +218,13 @@ TimingStats conv_simulate(Algo algo, const ConvLayerDesc& d,
     span.arg("vlen", std::to_string(config.vpu.vlen_bits));
   }
   TimingStats stats;
-  if (obs::kernprof_enabled()) {
-    Pmu pmu(obs::kernprof_interval_cycles(),
-            obs::kernprof_interval_overridden());
+  if (obs::kernprof_sink().enabled()) {
+    Pmu pmu(obs::kernprof_interval().cycles(),
+            obs::kernprof_interval().overridden());
     stats = simulate_impl(algo, d, config, &pmu);
     pmu.finalize(stats);
     obs::KernProfRun run = kernprof_run_from_pmu(pmu, algo, d, config, stats);
-    obs::KernProfSink::global().record(run.label, run.to_jsonl());
+    obs::kernprof_sink().record(run.label, run.to_jsonl());
     if (profile != nullptr) *profile = std::move(run);
   } else {
     stats = simulate_impl(algo, d, config, nullptr);

@@ -52,7 +52,7 @@ SimConfig make_sim_config(std::uint32_t vlen_bits, std::uint64_t l2_bytes,
 /// and per-point cycle/host-time histograms when observability is on.
 /// When VLACNN_KERNPROF is set, a simulated PMU rides along (vpu/pmu.h): the
 /// per-phase attribution and counter windows are recorded to the process-wide
-/// KernProfSink under the grid-point label, and copied to `profile` when the
+/// kernprof_sink() under the grid-point label, and copied to `profile` when the
 /// caller passes one (the PMU never changes the returned stats).
 TimingStats conv_simulate(Algo algo, const ConvLayerDesc& desc,
                           const SimConfig& config,

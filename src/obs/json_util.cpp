@@ -45,4 +45,39 @@ void json_append_number(std::string& out, double v) {
   out += buf;
 }
 
+namespace {
+
+void append_key(std::string& out, const char* key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+}
+
+}  // namespace
+
+void json_append_kv(std::string& out, const char* key, double v) {
+  append_key(out, key);
+  json_append_number(out, v);
+}
+
+void json_append_kv(std::string& out, const char* key, std::uint64_t v) {
+  append_key(out, key);
+  out += std::to_string(v);
+}
+
+void json_append_kv(std::string& out, const char* key, int v) {
+  append_key(out, key);
+  out += std::to_string(v);
+}
+
+void json_append_kv(std::string& out, const char* key, bool v) {
+  append_key(out, key);
+  out += v ? "true" : "false";
+}
+
+void json_append_kv(std::string& out, const char* key, const std::string& v) {
+  append_key(out, key);
+  json_append_escaped(out, v);
+}
+
 }  // namespace vlacnn::obs

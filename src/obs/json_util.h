@@ -4,6 +4,7 @@
 // that header's escaping/number contract and a test pins the two together.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace vlacnn::obs {
@@ -20,5 +21,13 @@ std::string json_escaped(const std::string& s);
 /// Append `v` rendered %.17g (round-trip exact for doubles); non-finite
 /// values become `null` — inf/NaN are not valid JSON literals.
 void json_append_number(std::string& out, double v);
+
+/// Append `,"key":value` to a one-line JSON object the caller has opened:
+/// numbers as json_append_number / decimal integers, strings escaped.
+void json_append_kv(std::string& out, const char* key, double v);
+void json_append_kv(std::string& out, const char* key, std::uint64_t v);
+void json_append_kv(std::string& out, const char* key, int v);
+void json_append_kv(std::string& out, const char* key, bool v);
+void json_append_kv(std::string& out, const char* key, const std::string& v);
 
 }  // namespace vlacnn::obs

@@ -17,42 +17,30 @@
 // This header is deliberately vpu-agnostic (plain strings and doubles): the
 // obs layer sits at the bottom of the include order, so the simulation driver
 // (algos/registry) converts Pmu state into these records. The process-wide
-// KernProfSink buffers one block per labeled grid point in a sorted map and
-// writes them in label order at exit, so a parallel sweep emits the same
-// bytes as a serial one at any VLACNN_THREADS.
+// kernprof_sink() (obs/jsonl_sink.h) buffers one block per labeled grid point
+// in a sorted map and writes them in label order at exit, so a parallel sweep
+// emits the same bytes as a serial one at any VLACNN_THREADS.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/jsonl_sink.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-/// True when VLACNN_KERNPROF names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool kernprof_enabled();
+/// The kernel-profile sink. VLACNN_KERNPROF names its output file;
+/// set_path() is the programmatic override (tests).
+LabeledJsonlSink& kernprof_sink();
 
-/// The JSONL output path ("" when disabled).
-std::string kernprof_path();
-
-/// Programmatic override of VLACNN_KERNPROF (tests). "" disables collection.
-void set_kernprof_path(const std::string& path);
-
-/// Window cadence from VLACNN_KERNPROF_INTERVAL (default 1e6 simulated
-/// cycles). Throws std::runtime_error on a malformed or non-positive value —
-/// a typo must not silently change a run's trajectory resolution.
-double kernprof_interval_cycles();
-
-/// True when the interval came from the env or a programmatic set — the PMU
-/// then keeps the cadence pinned instead of auto-coarsening.
-bool kernprof_interval_overridden();
-
-/// Programmatic override of the cadence (tests). Must be positive.
-void set_kernprof_interval_cycles(double cycles);
+/// The PMU window cadence, VLACNN_KERNPROF_INTERVAL (default 1e6 simulated
+/// cycles; malformed values throw — a typo must not silently change a run's
+/// trajectory resolution). When overridden(), the PMU keeps the cadence
+/// pinned instead of auto-coarsening.
+IntervalKnob& kernprof_interval();
 
 // -- profile records ----------------------------------------------------------
 
@@ -119,41 +107,5 @@ struct KernProfRun {
   /// Byte-stable: fixed key order, %.17g numbers.
   std::string to_jsonl() const;
 };
-
-// -- sink ---------------------------------------------------------------------
-
-/// Process-wide collection point for kernel-profile blocks, keyed by a
-/// deterministic grid-point label. write_file() emits blocks in sorted label
-/// order — the source of the THREADS byte-identity guarantee.
-class KernProfSink {
- public:
-  static KernProfSink& global();
-
-  /// Buffer one grid point's JSONL block under `label` (last write wins — a
-  /// grid point re-simulated concurrently carries identical bytes by the
-  /// determinism guarantee). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to kernprof_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
-};
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// kernprof_path() when enabled and non-empty. Called by
-/// KernProfSink::record(); safe to call directly.
-void arm_kernprof_exit_write();
 
 }  // namespace vlacnn::obs

@@ -1,10 +1,8 @@
 #include "obs/reqtrace.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -27,11 +25,6 @@ namespace vlacnn::obs {
 namespace {
 
 std::mutex g_knob_mu;
-bool g_path_parsed = false;
-std::string g_path;
-// -1 = not yet parsed; 0/1 mirror g_path.empty() for the lock-free gate.
-std::atomic<int> g_enabled{-1};
-
 bool g_top_k_parsed = false;
 std::size_t g_top_k = 8;
 bool g_head_parsed = false;
@@ -53,32 +46,10 @@ std::uint64_t parse_u64_env(const char* name, std::uint64_t fallback,
 
 }  // namespace
 
-bool reqtrace_enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    std::lock_guard<std::mutex> lk(g_knob_mu);
-    if (!g_path_parsed) {
-      const char* v = std::getenv("VLACNN_REQTRACE");
-      g_path = v == nullptr ? "" : v;
-      g_path_parsed = true;
-    }
-    e = g_path.empty() ? 0 : 1;
-    g_enabled.store(e, std::memory_order_relaxed);
-  }
-  return e != 0;
-}
-
-std::string reqtrace_path() {
-  reqtrace_enabled();  // force the one-time env parse
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  return g_path;
-}
-
-void set_reqtrace_path(const std::string& path) {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_path = path;
-  g_path_parsed = true;
-  g_enabled.store(path.empty() ? 0 : 1, std::memory_order_relaxed);
+LabeledJsonlSink& reqtrace_sink() {
+  static LabeledJsonlSink* sink = new LabeledJsonlSink(
+      "reqtrace", "VLACNN_REQTRACE", std::getenv("VLACNN_REQTRACE"));
+  return *sink;
 }
 
 std::size_t reqtrace_top_k() {
@@ -117,38 +88,6 @@ void set_reqtrace_head_every(std::uint64_t n) {
 
 // -- trace records ------------------------------------------------------------
 
-namespace {
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  json_append_number(out, v);
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, int v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-}  // namespace
-
 std::string keep_reasons_string(unsigned reasons) {
   std::string out;
   const auto add = [&out](const char* name) {
@@ -165,23 +104,23 @@ std::string keep_reasons_string(unsigned reasons) {
 std::string RequestTrace::to_json() const {
   std::string out = "{\"type\":\"request\",\"id\":";
   out += std::to_string(trace_id);
-  append_kv(out, "arrival", arrival);
-  append_kv(out, "dispatch", dispatch);
-  append_kv(out, "completion", completion);
-  append_kv(out, "latency", latency());
-  append_kv(out, "queue_wait", queue_wait);
-  append_kv(out, "formation_wait", formation_wait);
-  append_kv(out, "service", service);
+  json_append_kv(out, "arrival", arrival);
+  json_append_kv(out, "dispatch", dispatch);
+  json_append_kv(out, "completion", completion);
+  json_append_kv(out, "latency", latency());
+  json_append_kv(out, "queue_wait", queue_wait);
+  json_append_kv(out, "formation_wait", formation_wait);
+  json_append_kv(out, "service", service);
   // Fleet-only keys, emitted only for routed traces: single-chip trace files
   // keep their exact historical bytes (the v1 line schema grows additively).
   if (chip >= 0) {
-    append_kv(out, "router_hop", router_hop);
-    append_kv(out, "chip", chip);
+    json_append_kv(out, "router_hop", router_hop);
+    json_append_kv(out, "chip", chip);
   }
-  append_kv(out, "batch", batch);
-  append_kv(out, "instance", instance);
-  append_kv(out, "dropped", dropped);
-  append_kv(out, "within_slo", within_slo);
+  json_append_kv(out, "batch", batch);
+  json_append_kv(out, "instance", instance);
+  json_append_kv(out, "dropped", dropped);
+  json_append_kv(out, "within_slo", within_slo);
   out += ",\"keep\":";
   json_append_escaped(out, keep_reasons_string(keep));
   out += ",\"layers\":[";
@@ -320,19 +259,7 @@ void RequestTraceRecorder::on_drop(std::uint64_t id, double t) {
   sampler_.offer(std::move(tr));
 }
 
-void RequestTraceRecorder::on_completion(std::uint64_t id, double arrival,
-                                         double dispatch, double completion,
-                                         double queue_wait,
-                                         double formation_wait, double service,
-                                         bool within_slo, int batch,
-                                         int instance,
-                                         const std::vector<TraceNote>& notes) {
-  on_completion_routed(id, arrival, dispatch, completion, /*router_hop=*/0.0,
-                       queue_wait, formation_wait, service, within_slo, batch,
-                       /*chip=*/-1, instance, notes);
-}
-
-void RequestTraceRecorder::on_completion_routed(
+void RequestTraceRecorder::on_completion(
     std::uint64_t id, double arrival, double dispatch, double completion,
     double router_hop, double queue_wait, double formation_wait,
     double service, bool within_slo, int batch, int chip, int instance,
@@ -370,16 +297,16 @@ void RequestTraceRecorder::finish() {
 std::string RequestTraceRecorder::to_jsonl() const {
   std::string out = "{\"type\":\"header\",\"top_k\":";
   out += std::to_string(static_cast<std::uint64_t>(cfg_.top_k));
-  append_kv(out, "head_every", cfg_.head_every);
-  append_kv(out, "head_seed", cfg_.head_seed);
-  append_kv(out, "slo_cycles", cfg_.slo_cycles);
-  append_kv(out, "sketch_relative_error", cfg_.sketch_relative_error);
-  append_kv(out, "offered", offered_);
-  append_kv(out, "completed", completed_);
-  append_kv(out, "dropped", dropped_);
-  append_kv(out, "violations", violations_);
-  append_kv(out, "sampled", static_cast<std::uint64_t>(sampled_.size()));
-  append_kv(out, "layers",
+  json_append_kv(out, "head_every", cfg_.head_every);
+  json_append_kv(out, "head_seed", cfg_.head_seed);
+  json_append_kv(out, "slo_cycles", cfg_.slo_cycles);
+  json_append_kv(out, "sketch_relative_error", cfg_.sketch_relative_error);
+  json_append_kv(out, "offered", offered_);
+  json_append_kv(out, "completed", completed_);
+  json_append_kv(out, "dropped", dropped_);
+  json_append_kv(out, "violations", violations_);
+  json_append_kv(out, "sampled", static_cast<std::uint64_t>(sampled_.size()));
+  json_append_kv(out, "layers",
             static_cast<std::uint64_t>(cfg_.service_layers.size()));
   out += "}\n";
   // Aggregate-to-concrete bridge: every tail (>= p90) latency bucket names
@@ -387,8 +314,8 @@ std::string RequestTraceRecorder::to_jsonl() const {
   for (const auto& [upper, ex] : sketch_.tail_exemplars(0.90)) {
     out += "{\"type\":\"exemplar\",\"bucket_upper\":";
     json_append_number(out, upper);
-    append_kv(out, "latency", ex.value);
-    append_kv(out, "id", ex.id);
+    json_append_kv(out, "latency", ex.value);
+    json_append_kv(out, "id", ex.id);
     out += "}\n";
   }
   for (const RequestTrace& tr : sampled_) {
@@ -396,88 +323,6 @@ std::string RequestTraceRecorder::to_jsonl() const {
     out += '\n';
   }
   return out;
-}
-
-// -- sink ---------------------------------------------------------------------
-
-ReqTraceSink& ReqTraceSink::global() {
-  static ReqTraceSink sink;
-  return sink;
-}
-
-void ReqTraceSink::record(const std::string& label, std::string jsonl) {
-  arm_reqtrace_exit_write();
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_[label] = std::move(jsonl);
-}
-
-std::string ReqTraceSink::next_auto_label() {
-  std::lock_guard<std::mutex> lk(mu_);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "run%06llu",
-                static_cast<unsigned long long>(++auto_seq_));
-  return buf;
-}
-
-std::string ReqTraceSink::write_file() {
-  const std::string path = reqtrace_path();
-  if (path.empty()) {
-    throw std::runtime_error(
-        "ReqTraceSink::write_file: no output path (set VLACNN_REQTRACE)");
-  }
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [label, block] : blocks_) {
-      out += "{\"type\":\"run\",\"label\":";
-      json_append_escaped(out, label);
-      out += "}\n";
-      out += block;
-    }
-  }
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("ReqTraceSink::write_file: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool ok = written == out.size() && std::fclose(f) == 0;
-  if (!ok) {
-    throw std::runtime_error("ReqTraceSink::write_file: short write to " +
-                             path);
-  }
-  return path;
-}
-
-std::size_t ReqTraceSink::block_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return blocks_.size();
-}
-
-void ReqTraceSink::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_.clear();
-  auto_seq_ = 0;
-}
-
-void arm_reqtrace_exit_write() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    ReqTraceSink::global();  // outlive any static that records during exit
-    std::atexit([] {
-      ReqTraceSink& sink = ReqTraceSink::global();
-      if (sink.block_count() == 0 || !reqtrace_enabled()) return;
-      try {
-        sink.write_file();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "vlacnn: reqtrace write failed: %s\n", e.what());
-      }
-    });
-  });
 }
 
 }  // namespace vlacnn::obs

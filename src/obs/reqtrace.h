@@ -21,35 +21,29 @@
 //   (queue_wait + formation_wait) + service == completion - arrival
 // bit-exactly (left-to-right), and the per-layer segments — produced by a
 // chain of exact_split()s — reconstitute the service span bit-exactly when
-// folded back-to-front (right-to-left). The process-wide ReqTraceSink buffers
-// one JSONL block per labeled simulation in a sorted map and writes them in
-// label order at exit, so a parallel capacity-planner run emits the same
-// bytes as a serial one at any VLACNN_THREADS.
+// folded back-to-front (right-to-left). The process-wide reqtrace_sink()
+// (obs/jsonl_sink.h) buffers one JSONL block per labeled simulation in a
+// sorted map and writes them in label order at exit, so a parallel
+// capacity-planner run emits the same bytes as a serial one at any
+// VLACNN_THREADS.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/jsonl_sink.h"
 #include "obs/sketch.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-/// True when VLACNN_REQTRACE names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool reqtrace_enabled();
-
-/// The JSONL output path ("" when disabled).
-std::string reqtrace_path();
-
-/// Programmatic override of VLACNN_REQTRACE (tests, --reqtrace CLI flag).
-/// "" disables collection.
-void set_reqtrace_path(const std::string& path);
+/// The request-trace sink. VLACNN_REQTRACE names its output file; set_path()
+/// is the programmatic override (tests, --reqtrace CLI flag).
+LabeledJsonlSink& reqtrace_sink();
 
 /// Slowest-k retention from VLACNN_REQTRACE_TOPK (default 8). Throws
 /// std::runtime_error on a malformed or zero value — a typo must not silently
@@ -204,22 +198,15 @@ class RequestTraceRecorder {
 
   /// A request served to completion, with the event loop's exact Sterbenz
   /// attribution. `notes` are the dispatch annotations captured when this
-  /// request's batch was dispatched.
-  void on_completion(std::uint64_t id, double arrival, double dispatch,
-                     double completion, double queue_wait,
-                     double formation_wait, double service, bool within_slo,
-                     int batch, int instance,
-                     const std::vector<TraceNote>& notes);
-
-  /// The fleet-routed variant: additionally records the exact-split router
+  /// request's batch was dispatched. Fleet runs pass the exact-split router
   /// hop span and the serving chip (>= 0), so the trace line carries the
-  /// extended four-span attribution (see RequestTrace).
-  void on_completion_routed(std::uint64_t id, double arrival, double dispatch,
-                            double completion, double router_hop,
-                            double queue_wait, double formation_wait,
-                            double service, bool within_slo, int batch,
-                            int chip, int instance,
-                            const std::vector<TraceNote>& notes);
+  /// extended four-span attribution (see RequestTrace); single-chip runs
+  /// pass a zero hop and chip -1.
+  void on_completion(std::uint64_t id, double arrival, double dispatch,
+                     double completion, double router_hop, double queue_wait,
+                     double formation_wait, double service, bool within_slo,
+                     int batch, int chip, int instance,
+                     const std::vector<TraceNote>& notes);
 
   /// Seal the sampler. Idempotent; must be the last mutating call.
   void finish();
@@ -261,42 +248,5 @@ class RequestTraceRecorder {
 /// zero).
 std::vector<TraceSegment> split_service_span(
     double total, const std::vector<std::pair<std::string, double>>& layers);
-
-// -- sink ---------------------------------------------------------------------
-
-/// Process-wide collection point for finished request-trace blocks, keyed by
-/// a deterministic label (the capacity planner labels blocks by grid point;
-/// unlabeled serial callers get a sequence label). write_file() emits blocks
-/// in sorted label order — the source of the THREADS byte-identity guarantee.
-class ReqTraceSink {
- public:
-  static ReqTraceSink& global();
-
-  /// Buffer one simulation's JSONL block under `label` (last write wins — by
-  /// the determinism guarantee concurrent writers for a label carry identical
-  /// bytes). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to reqtrace_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
-};
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// reqtrace_path() when enabled and non-empty. Called by
-/// ReqTraceSink::record(); safe to call directly.
-void arm_reqtrace_exit_write();
 
 }  // namespace vlacnn::obs

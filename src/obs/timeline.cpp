@@ -1,11 +1,8 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 
 #include "obs/json_util.h"
@@ -14,154 +11,51 @@ namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-namespace {
-
-std::mutex g_knob_mu;
-bool g_path_parsed = false;
-std::string g_path;
-// -1 = not yet parsed; 0/1 mirror g_path.empty() for the lock-free gate.
-std::atomic<int> g_enabled{-1};
-
-bool g_interval_parsed = false;
-double g_interval = 1e6;
-bool g_interval_overridden = false;
-
-double parse_interval_env() {
-  const char* v = std::getenv("VLACNN_TIMELINE_INTERVAL");
-  if (v == nullptr || *v == '\0') return 1e6;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !std::isfinite(d) || !(d > 0)) {
-    throw std::runtime_error("VLACNN_TIMELINE_INTERVAL: expected a positive "
-                             "cycle count, got '" + std::string(v) + "'");
-  }
-  g_interval_overridden = true;
-  return d;
+LabeledJsonlSink& timeline_sink() {
+  static LabeledJsonlSink* sink = new LabeledJsonlSink(
+      "timeline", "VLACNN_TIMELINE", std::getenv("VLACNN_TIMELINE"));
+  return *sink;
 }
 
-}  // namespace
-
-bool timeline_enabled() {
-  int e = g_enabled.load(std::memory_order_relaxed);
-  if (e < 0) {
-    std::lock_guard<std::mutex> lk(g_knob_mu);
-    if (!g_path_parsed) {
-      const char* v = std::getenv("VLACNN_TIMELINE");
-      g_path = v == nullptr ? "" : v;
-      g_path_parsed = true;
-    }
-    e = g_path.empty() ? 0 : 1;
-    g_enabled.store(e, std::memory_order_relaxed);
-  }
-  return e != 0;
-}
-
-std::string timeline_path() {
-  timeline_enabled();  // force the one-time env parse
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  return g_path;
-}
-
-void set_timeline_path(const std::string& path) {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_path = path;
-  g_path_parsed = true;
-  g_enabled.store(path.empty() ? 0 : 1, std::memory_order_relaxed);
-}
-
-double timeline_interval_cycles() {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_interval_parsed) {
-    g_interval = parse_interval_env();
-    g_interval_parsed = true;
-  }
-  return g_interval;
-}
-
-void set_timeline_interval_cycles(double cycles) {
-  if (!std::isfinite(cycles) || !(cycles > 0)) {
-    throw std::invalid_argument(
-        "set_timeline_interval_cycles: interval must be positive");
-  }
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  g_interval = cycles;
-  g_interval_parsed = true;
-  g_interval_overridden = true;
-}
-
-bool timeline_interval_overridden() {
-  std::lock_guard<std::mutex> lk(g_knob_mu);
-  if (!g_interval_parsed) {
-    g_interval = parse_interval_env();
-    g_interval_parsed = true;
-  }
-  return g_interval_overridden;
+IntervalKnob& timeline_interval() {
+  static IntervalKnob knob("VLACNN_TIMELINE_INTERVAL", []() -> const char* {
+    return std::getenv("VLACNN_TIMELINE_INTERVAL");
+  });
+  return knob;
 }
 
 // -- JSON lines ---------------------------------------------------------------
 
-namespace {
-
-void append_kv(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  json_append_number(out, v);
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, int v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_kv(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-}  // namespace
-
 std::string TimelineSnapshot::to_json() const {
   std::string out = "{\"type\":\"snapshot\"";
-  append_kv(out, "t_start", t_start);
-  append_kv(out, "t_end", t_end);
-  append_kv(out, "arrivals", arrivals);
-  append_kv(out, "drops", drops);
-  append_kv(out, "dispatches", dispatches);
-  append_kv(out, "completions", completions);
-  append_kv(out, "queue_depth", queue_depth);
-  append_kv(out, "in_flight", in_flight);
-  append_kv(out, "mean_queue", mean_queue);
-  append_kv(out, "utilization", utilization);
-  append_kv(out, "arrival_rate", arrival_rate);
-  append_kv(out, "completion_rate", completion_rate);
-  append_kv(out, "rolling_p99", rolling_p99);
-  append_kv(out, "rolling_count", rolling_count);
-  append_kv(out, "burn_short", burn_short);
-  append_kv(out, "burn_long", burn_long);
-  append_kv(out, "alert", alert);
-  append_kv(out, "cum_offered", cum_offered);
-  append_kv(out, "cum_completed", cum_completed);
-  append_kv(out, "cum_dropped", cum_dropped);
+  json_append_kv(out, "t_start", t_start);
+  json_append_kv(out, "t_end", t_end);
+  json_append_kv(out, "arrivals", arrivals);
+  json_append_kv(out, "drops", drops);
+  json_append_kv(out, "dispatches", dispatches);
+  json_append_kv(out, "completions", completions);
+  json_append_kv(out, "queue_depth", queue_depth);
+  json_append_kv(out, "in_flight", in_flight);
+  json_append_kv(out, "mean_queue", mean_queue);
+  json_append_kv(out, "utilization", utilization);
+  json_append_kv(out, "arrival_rate", arrival_rate);
+  json_append_kv(out, "completion_rate", completion_rate);
+  json_append_kv(out, "rolling_p99", rolling_p99);
+  json_append_kv(out, "rolling_count", rolling_count);
+  json_append_kv(out, "burn_short", burn_short);
+  json_append_kv(out, "burn_long", burn_long);
+  json_append_kv(out, "alert", alert);
+  json_append_kv(out, "cum_offered", cum_offered);
+  json_append_kv(out, "cum_completed", cum_completed);
+  json_append_kv(out, "cum_dropped", cum_dropped);
   out += '}';
   return out;
 }
 
 std::string TimelineAlert::to_json() const {
   std::string out = raised ? "{\"type\":\"alert\"" : "{\"type\":\"clear\"";
-  append_kv(out, "t", t);
-  append_kv(out, "burn_rate", burn_rate);
+  json_append_kv(out, "t", t);
+  json_append_kv(out, "burn_rate", burn_rate);
   out += '}';
   return out;
 }
@@ -323,14 +217,14 @@ void TimelineRecorder::finish(double t) {
 
 std::string TimelineRecorder::to_jsonl() const {
   std::string out = "{\"type\":\"header\"";
-  append_kv(out, "interval_cycles", cfg_.interval_cycles);
-  append_kv(out, "rolling_window",
+  json_append_kv(out, "interval_cycles", cfg_.interval_cycles);
+  json_append_kv(out, "rolling_window",
             static_cast<std::uint64_t>(cfg_.rolling_window));
-  append_kv(out, "sketch_relative_error", cfg_.sketch_relative_error);
-  append_kv(out, "slo_cycles", cfg_.slo_cycles);
-  append_kv(out, "attainment_target", cfg_.attainment_target);
-  append_kv(out, "alert_threshold", cfg_.alert_threshold);
-  append_kv(out, "instances", cfg_.instances);
+  json_append_kv(out, "sketch_relative_error", cfg_.sketch_relative_error);
+  json_append_kv(out, "slo_cycles", cfg_.slo_cycles);
+  json_append_kv(out, "attainment_target", cfg_.attainment_target);
+  json_append_kv(out, "alert_threshold", cfg_.alert_threshold);
+  json_append_kv(out, "instances", cfg_.instances);
   out += "}\n";
   std::size_t ai = 0;
   for (const TimelineSnapshot& s : snapshots_) {
@@ -353,7 +247,7 @@ std::string TimelineRecorder::to_jsonl() const {
 
 TimelineConfig default_timeline_config(int instances, double slo_cycles) {
   TimelineConfig cfg;
-  cfg.interval_cycles = timeline_interval_cycles();
+  cfg.interval_cycles = timeline_interval().cycles();
   cfg.instances = instances < 1 ? 1 : instances;
   cfg.slo_cycles = slo_cycles;
   return cfg;
@@ -423,88 +317,6 @@ TimelineAnalysis analyze_timeline(const std::vector<TimelineSnapshot>& snaps,
   }
   if (open) a.time_in_alert_cycles += snaps.back().t_end - raised_at;
   return a;
-}
-
-// -- sink ---------------------------------------------------------------------
-
-TimelineSink& TimelineSink::global() {
-  static TimelineSink sink;
-  return sink;
-}
-
-void TimelineSink::record(const std::string& label, std::string jsonl) {
-  arm_timeline_exit_write();
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_[label] = std::move(jsonl);
-}
-
-std::string TimelineSink::next_auto_label() {
-  std::lock_guard<std::mutex> lk(mu_);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "run%06llu",
-                static_cast<unsigned long long>(++auto_seq_));
-  return buf;
-}
-
-std::string TimelineSink::write_file() {
-  const std::string path = timeline_path();
-  if (path.empty()) {
-    throw std::runtime_error(
-        "TimelineSink::write_file: no output path (set VLACNN_TIMELINE)");
-  }
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [label, block] : blocks_) {
-      out += "{\"type\":\"run\",\"label\":";
-      json_append_escaped(out, label);
-      out += "}\n";
-      out += block;
-    }
-  }
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("TimelineSink::write_file: cannot open " + path);
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool ok = written == out.size() && std::fclose(f) == 0;
-  if (!ok) {
-    throw std::runtime_error("TimelineSink::write_file: short write to " +
-                             path);
-  }
-  return path;
-}
-
-std::size_t TimelineSink::block_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return blocks_.size();
-}
-
-void TimelineSink::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  blocks_.clear();
-  auto_seq_ = 0;
-}
-
-void arm_timeline_exit_write() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    TimelineSink::global();  // outlive any static that records during exit
-    std::atexit([] {
-      TimelineSink& sink = TimelineSink::global();
-      if (sink.block_count() == 0 || !timeline_enabled()) return;
-      try {
-        sink.write_file();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "vlacnn: timeline write failed: %s\n", e.what());
-      }
-    });
-  });
 }
 
 }  // namespace vlacnn::obs

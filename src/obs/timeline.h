@@ -12,49 +12,34 @@
 //
 // Units: everything is simulated **cycles** — the recorder never reads a wall
 // clock, so a timeline is byte-identical across runs and VLACNN_THREADS. The
-// process-wide TimelineSink buffers one JSONL block per labeled simulation in
-// a sorted map and writes them in label order at exit, mirroring
-// report::Collector's determinism strategy: a parallel capacity-planner run
-// emits the same bytes as a serial one.
+// process-wide timeline_sink() (obs/jsonl_sink.h) buffers one JSONL block per
+// labeled simulation in a sorted map and writes them in label order at exit,
+// mirroring report::Collector's determinism strategy: a parallel
+// capacity-planner run emits the same bytes as a serial one.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/jsonl_sink.h"
 #include "obs/sketch.h"
 
 namespace vlacnn::obs {
 
 // -- env knobs ----------------------------------------------------------------
 
-/// True when VLACNN_TIMELINE names an output file (or a path was set
-/// programmatically). Hot-path gate: one relaxed load after the first call.
-bool timeline_enabled();
+/// The timeline sink. VLACNN_TIMELINE names its output file; set_path() is
+/// the programmatic override (tests, --timeline CLI flag).
+LabeledJsonlSink& timeline_sink();
 
-/// The JSONL output path ("" when disabled).
-std::string timeline_path();
-
-/// Programmatic override of VLACNN_TIMELINE (tests, --timeline CLI flag).
-/// "" disables collection.
-void set_timeline_path(const std::string& path);
-
-/// Snapshot cadence from VLACNN_TIMELINE_INTERVAL (default 1e6 cycles).
-/// Throws std::runtime_error on a malformed or non-positive value — a typo
-/// must not silently distort the timeline a run was meant to collect.
-double timeline_interval_cycles();
-
-/// Programmatic override of the interval knob (tests). Must be positive.
-void set_timeline_interval_cycles(double cycles);
-
-/// True when the cadence was chosen explicitly (VLACNN_TIMELINE_INTERVAL in
-/// the environment, or set_timeline_interval_cycles()). When false, drivers
-/// with long simulated horizons are free to coarsen the default cadence so a
-/// low-rate run cannot buffer millions of snapshot lines (the capacity
-/// planner targets a bounded snapshot count per grid point).
-bool timeline_interval_overridden();
+/// The snapshot cadence, VLACNN_TIMELINE_INTERVAL (default 1e6 cycles;
+/// malformed values throw — a typo must not silently distort the timeline a
+/// run was meant to collect). When not overridden(), drivers with long
+/// simulated horizons are free to coarsen the default cadence so a low-rate
+/// run cannot buffer millions of snapshot lines (the capacity planner
+/// targets a bounded snapshot count per grid point).
+IntervalKnob& timeline_interval();
 
 // -- recorder -----------------------------------------------------------------
 
@@ -204,42 +189,5 @@ struct TimelineAnalysis {
 TimelineAnalysis analyze_timeline(const std::vector<TimelineSnapshot>& snaps,
                                   const std::vector<TimelineAlert>& alerts,
                                   double tolerance = 0.10);
-
-// -- sink ---------------------------------------------------------------------
-
-/// Process-wide collection point for finished timelines, keyed by a
-/// deterministic label (the capacity planner labels blocks by grid point;
-/// unlabeled serial callers get a sequence label). write_file() emits blocks
-/// in sorted label order — the source of the THREADS byte-identity guarantee.
-class TimelineSink {
- public:
-  static TimelineSink& global();
-
-  /// Buffer one simulation's JSONL block under `label` (last write wins —
-  /// by the determinism guarantee concurrent writers for a label carry
-  /// identical bytes). Arms the exit write on first use.
-  void record(const std::string& label, std::string jsonl);
-
-  /// "run000001", "run000002", ... for callers without a natural label.
-  /// Deterministic only for serial callers; parallel drivers must label.
-  std::string next_auto_label();
-
-  /// Write every block to timeline_path() in sorted label order; returns the
-  /// path. Throws when disabled or on I/O failure.
-  std::string write_file();
-
-  std::size_t block_count() const;
-  void reset();  ///< drop all blocks and the auto-label counter (tests)
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> blocks_;
-  std::uint64_t auto_seq_ = 0;
-};
-
-/// Idempotent: registers an atexit hook that writes the sink to
-/// timeline_path() when enabled and non-empty. Called by
-/// TimelineSink::record(); safe to call directly.
-void arm_timeline_exit_write();
 
 }  // namespace vlacnn::obs

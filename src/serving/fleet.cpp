@@ -5,21 +5,20 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <set>
 #include <stdexcept>
 
+#include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/reqtrace.h"
 #include "obs/timeline.h"
+#include "obs/trace.h"
 #include "report/json.h"
+#include "serving/event_loop.h"
 
 namespace vlacnn::serving {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 bool ChipSpec::hosts(int model) const {
   if (hosted_models.empty()) return true;
@@ -110,148 +109,143 @@ std::string FleetStats::to_json() const {
   return out;
 }
 
+namespace detail {
+
 namespace {
 
-/// Per-chip mutable simulation state. Stats accumulators mirror the
-/// single-chip loop's locals, scoped to the requests this chip served.
-struct ChipState {
-  std::set<int> idle;  ///< idle instance ids
-  struct Queued {
-    double arrival;        ///< fleet arrival, cycles
-    double idle_at_join;   ///< chip idle-time integral when it joined
-    std::uint64_t seq;     ///< fleet trace id (1-based)
-    int model;
-  };
-  struct Member {
-    double arrival;
-    double formation_wait;  ///< measured at dispatch, clamped
-    std::uint64_t seq;
-    int model;
-  };
-  std::vector<std::deque<Queued>> queues;        ///< per model, FIFO
-  std::vector<std::vector<Member>> batch_members;  ///< per instance
-  std::vector<double> batch_dispatch;              ///< per instance
-  std::size_t queued_total = 0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  double idle_time = 0;    ///< integral of [some instance idle]
-  double queue_area = 0;   ///< integral of queued_total
-  double busy_cycles = 0;
-  double batch_images = 0;
+/// Trace events per simulation are capped so a planner run over hundreds of
+/// grid points cannot balloon the in-memory trace buffer; the cap is logged
+/// when hit.
+constexpr std::uint64_t kMaxBatchTraceEvents = 4096;
 
+/// Simulated cycles -> trace microseconds at the repo's 2 GHz presentation
+/// clock, so a Perfetto timeline of batches reads in real service time.
+constexpr double kTraceCyclesPerUs = 2000.0;
+
+/// One stats scope: the fleet, a chip, or a model (models keep only counts
+/// and the latency sum). Sums run in the order the means are defined in —
+/// waits at dispatch, everything else at completion.
+struct Scope {
   ServingStats s;
-  std::vector<double> latencies;  ///< fleet latencies of this chip's requests
-  double wait_sum = 0, queue_wait_sum = 0, formation_sum = 0, service_sum = 0;
+  double latency_sum = 0, wait_sum = 0, queue_wait_sum = 0, formation_sum = 0;
+  double service_sum = 0, batch_images = 0;
 };
 
-void finalize_stats(ServingStats& s, std::vector<double>& latencies,
-                    double wait_sum, double queue_wait_sum,
-                    double formation_sum, double service_sum,
-                    double batch_images, double makespan, double queue_area,
-                    double busy_cycles, int instances, double slo_cycles) {
-  s.completed = latencies.size();
-  s.makespan = makespan;
+/// Fill a scope's per-request fields from its sums and its latencies (any
+/// order; reordered here). Percentiles are nearest-rank by selection: each
+/// nth_element puts in place the exact sample a full sort would, and the
+/// ranks ascend, so each selection only scans what lies above the last one.
+void finish_scope(Scope& sc, std::vector<double>& lat, double slo_cycles) {
+  ServingStats& s = sc.s;
+  s.completed = lat.size();
   s.slo = slo_cycles;
   if (s.batches > 0) {
-    s.mean_batch = batch_images / static_cast<double>(s.batches);
+    s.mean_batch = sc.batch_images / static_cast<double>(s.batches);
   }
-  if (!latencies.empty()) {
-    double sum = 0;
-    for (double l : latencies) sum += l;
-    const double n = static_cast<double>(latencies.size());
-    s.mean_latency = sum / n;
-    s.mean_wait = wait_sum / n;
-    s.mean_queue_wait = queue_wait_sum / n;
-    s.mean_formation_wait = formation_sum / n;
-    s.mean_service = service_sum / n;
-    std::sort(latencies.begin(), latencies.end());
-    s.p50 = nearest_rank(latencies, 0.50);
-    s.p95 = nearest_rank(latencies, 0.95);
-    s.p99 = nearest_rank(latencies, 0.99);
-    s.p999 = nearest_rank(latencies, 0.999);
-    s.max_latency = latencies.back();
-  }
-  if (makespan > 0) {
-    s.mean_queue = queue_area / makespan;
-    s.utilization = busy_cycles / (static_cast<double>(instances) * makespan);
+  if (!lat.empty()) {
+    const double n = static_cast<double>(lat.size());
+    s.mean_latency = sc.latency_sum / n;
+    s.mean_wait = sc.wait_sum / n;
+    s.mean_queue_wait = sc.queue_wait_sum / n;
+    s.mean_formation_wait = sc.formation_sum / n;
+    s.mean_service = sc.service_sum / n;
+    auto from = lat.begin();
+    const auto rank = [&](double q) {
+      const auto k = lat.begin() + static_cast<std::ptrdiff_t>(
+                                       nearest_rank_index(lat.size(), q));
+      std::nth_element(from, k, lat.end());
+      from = k;
+      return *k;
+    };
+    s.p50 = rank(0.50);
+    s.p95 = rank(0.95);
+    s.p99 = rank(0.99);
+    s.p999 = rank(0.999);
+    s.max_latency = *std::max_element(from, lat.end());
   }
   if (slo_cycles > 0 && s.offered > 0) {
-    const auto within =
-        std::upper_bound(latencies.begin(), latencies.end(), slo_cycles) -
-        latencies.begin();
+    const auto within = std::count_if(
+        lat.begin(), lat.end(), [&](double l) { return l <= slo_cycles; });
     s.slo_attainment =
         static_cast<double>(within) / static_cast<double>(s.offered);
   }
 }
 
+/// Fill the time-weighted fields of a fleet or chip scope.
+void finish_occupancy(ServingStats& s, double makespan, double queue_area,
+                      double busy_cycles, int instances) {
+  s.makespan = makespan;
+  if (makespan > 0) {
+    s.mean_queue = queue_area / makespan;
+    s.utilization = busy_cycles / (static_cast<double>(instances) * makespan);
+  }
+}
+
+/// Per-chip mutable simulation state.
+struct ChipState {
+  struct Queued {
+    double arrival;       ///< fleet arrival, cycles
+    double idle_at_join;  ///< chip idle-time integral when it joined
+    std::uint64_t seq;    ///< 1-based offered-arrival order = trace id
+  };
+  struct Member {
+    double arrival;
+    double formation_wait;  ///< measured at dispatch, clamped
+    std::uint64_t seq;
+  };
+  struct ModelQueue {
+    std::deque<Queued> fifo;
+    BatchingPolicy* policy;
+    ServiceModel* service;
+  };
+  std::vector<ModelQueue> queues;                  ///< per model
+  std::set<int> idle;                              ///< idle instance ids
+  std::vector<std::vector<Member>> batch_members;  ///< per instance
+  std::vector<double> batch_dispatch;              ///< per instance
+  std::vector<int> batch_model;  ///< per instance: one batch, one model
+  /// Dispatch annotations per instance, attached to every member of the
+  /// batch at completion. Sized only when tracing.
+  std::vector<std::vector<obs::TraceNote>> batch_notes;
+  obs::TimelineRecorder* timeline = nullptr;
+  std::size_t queued_total = 0;
+  double idle_time = 0;   ///< integral of [some instance idle]
+  double queue_area = 0;  ///< integral of queued_total
+  double busy_cycles = 0;
+  Scope stats;
+};
+
 }  // namespace
 
-FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
-  const int C = static_cast<int>(cfg.chips.size());
-  const int M = static_cast<int>(cfg.mix.names.size());
-  if (C == 0) {
-    throw std::invalid_argument("simulate_fleet: need at least one chip");
-  }
-  if (M == 0 || cfg.mix.names.size() != cfg.mix.shares.size()) {
-    throw std::invalid_argument("simulate_fleet: inconsistent traffic mix");
-  }
-  if (!(cfg.router_hop_cycles >= 0) ||
-      !std::isfinite(cfg.router_hop_cycles)) {
-    throw std::invalid_argument(
-        "simulate_fleet: router hop must be finite and >= 0");
-  }
-  const double hop = cfg.router_hop_cycles;
+/// The loop body. kOneQueue folds in one chip, one model and no hop as
+/// constants; run_event_loop picks it from the inputs.
+template <bool kObs, bool kOneQueue>
+FleetStats event_loop(const LoopInputs& in, ArrivalProcess& arrivals) {
+  const int C = kOneQueue ? 1 : static_cast<int>(in.chips.size());
+  const int M =
+      kOneQueue ? 1 : static_cast<int>(in.chips.front().queues.size());
+  const double hop = kOneQueue ? 0.0 : in.hop;
 
-  // Placement: the ascending host list per model, validated up front so the
-  // router never sees an empty candidate set.
-  std::vector<std::vector<int>> hosts(static_cast<std::size_t>(M));
-  for (int c = 0; c < C; ++c) {
-    const FleetChip& chip = cfg.chips[static_cast<std::size_t>(c)];
-    if (chip.spec.point.instances < 1) {
-      throw std::invalid_argument("simulate_fleet: chip needs >= 1 instance");
+  obs::RequestTraceRecorder* rrec = nullptr;
+  if constexpr (kObs) rrec = in.reqtrace;
+  std::vector<ChipState> chips(in.chips.size());
+  for (std::size_t c = 0; c < chips.size(); ++c) {
+    const LoopChip& lc = in.chips[c];
+    ChipState& cs = chips[c];
+    for (const LoopQueue& q : lc.queues) {
+      cs.queues.push_back({{}, q.policy, q.service});
     }
-    if (chip.costs.size() != static_cast<std::size_t>(M)) {
-      throw std::invalid_argument(
-          "simulate_fleet: chip needs one cost model per mix model");
-    }
-    for (int m = 0; m < M; ++m) {
-      if (!chip.spec.hosts(m)) continue;
-      const BatchCostModel& bc = chip.costs[static_cast<std::size_t>(m)];
-      if (!(bc.first_image_cycles > 0) || !(bc.marginal_image_cycles >= 0)) {
-        throw std::invalid_argument(
-            "simulate_fleet: hosted model needs positive first-image and "
-            "non-negative marginal cycles");
-      }
-      hosts[static_cast<std::size_t>(m)].push_back(c);
+    for (int i = 0; i < lc.instances; ++i) cs.idle.insert(i);
+    const auto instances = static_cast<std::size_t>(lc.instances);
+    cs.batch_members.resize(instances);
+    cs.batch_dispatch.resize(instances, 0.0);
+    cs.batch_model.resize(instances, 0);
+    if constexpr (kObs) {
+      cs.timeline = lc.timeline;
+      if (rrec != nullptr) cs.batch_notes.resize(instances);
     }
   }
-  for (int m = 0; m < M; ++m) {
-    if (hosts[static_cast<std::size_t>(m)].empty()) {
-      throw std::invalid_argument("simulate_fleet: model '" +
-                                  cfg.mix.names[static_cast<std::size_t>(m)] +
-                                  "' has no hosting chip");
-    }
-  }
-
-  // Per-(chip, model) batching policies: one fresh instance each, since
-  // policies may keep state (batching.h's one-per-simulation contract,
-  // applied per queue).
-  std::vector<std::vector<std::unique_ptr<BatchingPolicy>>> policies(
-      static_cast<std::size_t>(C));
-  std::vector<ChipState> chips(static_cast<std::size_t>(C));
-  for (int c = 0; c < C; ++c) {
-    auto& cs = chips[static_cast<std::size_t>(c)];
-    const int inst = cfg.chips[static_cast<std::size_t>(c)].spec.point.instances;
-    for (int i = 0; i < inst; ++i) cs.idle.insert(i);
-    cs.queues.resize(static_cast<std::size_t>(M));
-    cs.batch_members.resize(static_cast<std::size_t>(inst));
-    cs.batch_dispatch.resize(static_cast<std::size_t>(inst), 0.0);
-    for (int m = 0; m < M; ++m) {
-      policies[static_cast<std::size_t>(c)].push_back(make_policy(cfg.policy));
-    }
-  }
-
-  const std::unique_ptr<FleetRouter> router =
-      make_router(cfg.router, static_cast<std::size_t>(M));
   std::vector<std::uint64_t> outstanding(static_cast<std::size_t>(C), 0);
 
   // One in-flight batch per busy (chip, instance), ordered by completion;
@@ -281,52 +275,44 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
   };
   std::deque<Transit> transit;
 
-  // Fleet-level accumulators.
-  FleetStats out;
-  ServingStats& fs = out.fleet;
-  std::vector<double> latencies;
-  double wait_sum = 0, queue_wait_sum = 0, formation_sum = 0, service_sum = 0;
-  double hop_sum = 0, fleet_batch_images = 0;
+  Scope fleet;
+  std::vector<Scope> models(static_cast<std::size_t>(M));
+  double hop_sum = 0;
   std::size_t total_queued = 0;
-  // Per-model accumulators.
-  std::vector<std::vector<double>> model_lat(static_cast<std::size_t>(M));
-  std::vector<std::uint64_t> model_offered(static_cast<std::size_t>(M), 0);
-  std::vector<std::uint64_t> model_dropped(static_cast<std::size_t>(M), 0);
+  // Each latency is stored once, in completion order. With more than one
+  // chip or model, `owner` tags it chip * M + model, so the per-chip and
+  // per-model percentiles are cut from the same vector at the end.
+  std::vector<double> latencies;
+  std::vector<std::uint32_t> owner;
+  const bool tagged = C > 1 || M > 1;
   double now = 0;
-  std::optional<double> pending;
-  if (cfg.request_log != nullptr) cfg.request_log->clear();
+  double pending = 0;  ///< the next arrival, valid when has_pending
+  bool has_pending = false;
+  if (in.request_log != nullptr) in.request_log->clear();
+  if (in.fleet_log != nullptr) in.fleet_log->clear();
 
-  // Observability: one timeline recorder per chip (queue/utilization/SLO-burn
-  // resolved per chip), one request-trace recorder for the whole fleet (trace
-  // ids are fleet-wide). Sink labels derive from cfg.label below.
-  std::vector<std::unique_ptr<obs::TimelineRecorder>> recs;
-  if (obs::timeline_enabled()) {
-    for (int c = 0; c < C; ++c) {
-      obs::TimelineConfig tcfg = obs::default_timeline_config(
-          cfg.chips[static_cast<std::size_t>(c)].spec.point.instances,
-          cfg.slo_cycles);
-      tcfg.attainment_target = cfg.attainment_target;
-      if (cfg.expected_horizon_cycles > 0 &&
-          !obs::timeline_interval_overridden()) {
-        tcfg.interval_cycles = std::max(
-            tcfg.interval_cycles, cfg.expected_horizon_cycles / 256.0);
-      }
-      recs.push_back(std::make_unique<obs::TimelineRecorder>(tcfg));
+  obs::Histogram* lat_hist = nullptr;  ///< non-null when metrics are on
+  obs::Tracer* tracer = nullptr;
+  std::uint64_t traced_batches = 0;
+  if constexpr (kObs) {
+    if (obs::metrics_enabled()) {
+      lat_hist =
+          &obs::Registry::global().histogram("serving.request_latency_cycles");
     }
+    tracer = &obs::Tracer::global();
   }
-  std::unique_ptr<obs::RequestTraceRecorder> rrec;
-  if (obs::reqtrace_enabled()) {
-    rrec = std::make_unique<obs::RequestTraceRecorder>(
-        obs::default_reqtrace_config(cfg.slo_cycles));
-  }
-  const std::vector<obs::TraceNote> no_notes;
 
   auto poll = [&] {
-    if (!pending.has_value()) pending = arrivals.next_arrival();
+    if (has_pending) return;
+    if (const std::optional<double> a = arrivals.next_arrival()) {
+      pending = *a;
+      has_pending = true;
+    }
   };
   auto advance = [&](double t_new) {
     const double dt = t_new - now;
-    for (auto& cs : chips) {
+    for (int c = 0; c < C; ++c) {
+      ChipState& cs = chips[static_cast<std::size_t>(c)];
       cs.queue_area += static_cast<double>(cs.queued_total) * dt;
       if (!cs.idle.empty()) cs.idle_time += dt;
     }
@@ -336,27 +322,31 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
   // A routed request reaches its chip's queue (the hop elapsed — or was zero).
   auto enqueue = [&](double arrival, std::uint64_t seq, int model, int chip) {
     ChipState& cs = chips[static_cast<std::size_t>(chip)];
-    ++cs.s.offered;
-    if (cfg.queue_capacity > 0 && cs.queued_total >= cfg.queue_capacity) {
-      ++fs.dropped;
-      ++cs.s.dropped;
-      ++model_dropped[static_cast<std::size_t>(model)];
+    ++cs.stats.s.offered;
+    if (in.queue_capacity > 0 && cs.queued_total >= in.queue_capacity) {
+      ++fleet.s.dropped;
+      ++cs.stats.s.dropped;
+      ++models[static_cast<std::size_t>(model)].s.dropped;
       --outstanding[static_cast<std::size_t>(chip)];
-      if (!recs.empty()) recs[static_cast<std::size_t>(chip)]->on_drop(now);
-      if (rrec != nullptr) rrec->on_drop(seq, now);
+      if constexpr (kObs) {
+        if (cs.timeline != nullptr) cs.timeline->on_drop(now);
+        if (rrec != nullptr) rrec->on_drop(seq, now);
+      }
       arrivals.on_completion(now);  // a rejection is still a response
       return;
     }
-    cs.queues[static_cast<std::size_t>(model)].push_back(
-        {arrival, cs.idle_time, seq, model});
+    cs.queues[static_cast<std::size_t>(model)].fifo.push_back(
+        {arrival, cs.idle_time, seq});
     ++cs.queued_total;
     ++total_queued;
-    if (!recs.empty()) recs[static_cast<std::size_t>(chip)]->on_arrival(now);
-    if (static_cast<double>(cs.queued_total) > cs.s.max_queue) {
-      cs.s.max_queue = static_cast<double>(cs.queued_total);
+    if constexpr (kObs) {
+      if (cs.timeline != nullptr) cs.timeline->on_arrival(now);
     }
-    if (static_cast<double>(total_queued) > fs.max_queue) {
-      fs.max_queue = static_cast<double>(total_queued);
+    if (static_cast<double>(cs.queued_total) > cs.stats.s.max_queue) {
+      cs.stats.s.max_queue = static_cast<double>(cs.queued_total);
+    }
+    if (static_cast<double>(total_queued) > fleet.s.max_queue) {
+      fleet.s.max_queue = static_cast<double>(total_queued);
     }
   };
 
@@ -372,12 +362,11 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
         ChipState& cs = chips[static_cast<std::size_t>(c)];
         if (cs.idle.empty()) continue;
         for (int m = 0; m < M; ++m) {
-          auto& q = cs.queues[static_cast<std::size_t>(m)];
-          if (q.empty()) continue;
-          const double join = q.front().arrival + hop;
-          const int n = policies[static_cast<std::size_t>(c)]
-                            [static_cast<std::size_t>(m)]
-                                ->dispatch_size(q.size(), join, now);
+          const ChipState::ModelQueue& q =
+              cs.queues[static_cast<std::size_t>(m)];
+          if (q.fifo.empty()) continue;
+          const double join = q.fifo.front().arrival + hop;
+          const int n = q.policy->dispatch_size(q.fifo.size(), join, now);
           if (n <= 0) continue;
           if (join < best_join) {
             best_join = join;
@@ -389,48 +378,67 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
       }
       if (bc < 0) break;
       ChipState& cs = chips[static_cast<std::size_t>(bc)];
-      auto& q = cs.queues[static_cast<std::size_t>(bm)];
-      int n = bn;
-      if (static_cast<std::size_t>(n) > q.size()) {
-        n = static_cast<int>(q.size());
-      }
+      ChipState::ModelQueue& q = cs.queues[static_cast<std::size_t>(bm)];
+      const int n = std::min<int>(bn, static_cast<int>(q.fifo.size()));
       const int inst = *cs.idle.begin();
       cs.idle.erase(cs.idle.begin());
       auto& members = cs.batch_members[static_cast<std::size_t>(inst)];
       members.clear();
       for (int i = 0; i < n; ++i) {
-        const ChipState::Queued& qr = q.front();
+        const ChipState::Queued& qr = q.fifo.front();
         const double wait = now - qr.arrival;  // fleet wait, hop included
-        wait_sum += wait;
-        cs.wait_sum += wait;
+        fleet.wait_sum += wait;
+        cs.stats.wait_sum += wait;
+        // The formation share is measured on chip: clamp it to the wait
+        // since the request joined the queue.
         const double chip_wait = now - (qr.arrival + hop);
         double fw = cs.idle_time - qr.idle_at_join;
         if (fw < 0) fw = 0;
         if (fw > chip_wait) fw = chip_wait > 0 ? chip_wait : 0;
-        members.push_back({qr.arrival, fw, qr.seq, qr.model});
-        q.pop_front();
+        members.push_back({qr.arrival, fw, qr.seq});
+        q.fifo.pop_front();
         --cs.queued_total;
         --total_queued;
       }
       cs.batch_dispatch[static_cast<std::size_t>(inst)] = now;
-      const double service =
-          cfg.chips[static_cast<std::size_t>(bc)]
-              .costs[static_cast<std::size_t>(bm)]
-              .service_cycles(n);
+      cs.batch_model[static_cast<std::size_t>(inst)] = bm;
+      const double service = q.service->service_cycles(n);
       if (!(service > 0) || !std::isfinite(service)) {
         throw std::logic_error(
-            "simulate_fleet: cost model returned a non-positive or "
+            "serving event loop: service model returned a non-positive or "
             "non-finite batch time");
       }
       busy.push({now + service, bc, inst});
       cs.busy_cycles += service;
-      ++cs.s.batches;
-      ++fs.batches;
-      cs.batch_images += n;
-      fleet_batch_images += n;
+      ++cs.stats.s.batches;
+      ++fleet.s.batches;
+      cs.stats.batch_images += n;
+      fleet.batch_images += n;
       dispatched = true;
-      if (!recs.empty()) {
-        recs[static_cast<std::size_t>(bc)]->on_dispatch(now, n);
+      if constexpr (kObs) {
+        if (cs.timeline != nullptr) cs.timeline->on_dispatch(now, n);
+        if (rrec != nullptr) {
+          // Ask the service model for this batch's decision notes now, while
+          // its "most recent call" state is this dispatch.
+          auto& notes = cs.batch_notes[static_cast<std::size_t>(inst)];
+          notes.clear();
+          q.service->trace_annotations(notes);
+        }
+        if (tracer->enabled() && traced_batches < kMaxBatchTraceEvents) {
+          // Trace timestamps are *simulated* time, so the file renders the
+          // serving schedule itself, not the wall clock of the simulator.
+          obs::Tracer::Args args = {
+              {"instance", std::to_string(inst)},
+              {"batch", std::to_string(n)},
+              {"service_cycles", std::to_string(service)}};
+          if (in.fleet) args.push_back({"chip", std::to_string(bc)});
+          tracer->emit("serving.batch", now / kTraceCyclesPerUs,
+                       service / kTraceCyclesPerUs, args);
+          if (++traced_batches == kMaxBatchTraceEvents) {
+            obs::log(obs::LogLevel::kInfo, "serving", "batch_trace_capped",
+                     {{"cap", std::to_string(kMaxBatchTraceEvents)}});
+          }
+        }
       }
     }
     return dispatched;
@@ -440,18 +448,17 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
   while (true) {
     const double tc = busy.empty() ? kInf : busy.top().completion;
     const double tq = transit.empty() ? kInf : transit.front().deliver;
-    const double ta = pending.has_value() ? *pending : kInf;
+    const double ta = has_pending ? pending : kInf;
     double td = kInf;
     for (int c = 0; c < C; ++c) {
-      ChipState& cs = chips[static_cast<std::size_t>(c)];
+      const ChipState& cs = chips[static_cast<std::size_t>(c)];
       if (cs.idle.empty()) continue;
       for (int m = 0; m < M; ++m) {
-        const auto& q = cs.queues[static_cast<std::size_t>(m)];
-        if (q.empty()) continue;
-        const double d = policies[static_cast<std::size_t>(c)]
-                             [static_cast<std::size_t>(m)]
-                                 ->flush_deadline(q.size(),
-                                                  q.front().arrival + hop);
+        const ChipState::ModelQueue& q =
+            cs.queues[static_cast<std::size_t>(m)];
+        if (q.fifo.empty()) continue;
+        const double d = q.policy->flush_deadline(
+            q.fifo.size(), q.fifo.front().arrival + hop);
         td = std::min(td, std::max(d, now));
       }
     }
@@ -461,14 +468,15 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
 
     // Tie order at equal timestamps: completions free instances first,
     // router-hop deliveries join queues second, new arrivals are routed
-    // third, policy flushes run last — fixed, so the fleet-wide event
-    // sequence (and every stat) is reproducible.
+    // third, policy flushes run last — fixed, so the event sequence (and
+    // every stat) is reproducible.
     if (tc <= t_next) {
       const InFlight f = busy.top();
       busy.pop();
       ChipState& cs = chips[static_cast<std::size_t>(f.chip)];
       const std::size_t fi = static_cast<std::size_t>(f.instance);
       const double dispatched_at = cs.batch_dispatch[fi];
+      const int model = cs.batch_model[fi];
       const auto& members = cs.batch_members[fi];
       for (const ChipState::Member& m : members) {
         const double lat = now - m.arrival;
@@ -478,40 +486,54 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
         //   (hop + (qw + fw)) + service == lat bit-exactly.
         const auto [pre, service_c] =
             exact_split(lat, dispatched_at - m.arrival);
-        const auto [hop_c, wait_c] = exact_split(pre, hop);
-        const auto [qw, fw] = exact_split(wait_c, wait_c - m.formation_wait);
+        // exact_split(pre, 0.0) is {0.0, pre}: skip the call off-fleet.
+        const auto [hop_c, wait_c] =
+            hop == 0 ? std::pair<double, double>{0.0, pre}
+                     : exact_split(pre, hop);
+        const double wait_head = in.fleet ? wait_c : dispatched_at - m.arrival;
+        const auto [qw, fw] =
+            exact_split(wait_c, wait_head - m.formation_wait);
         latencies.push_back(lat);
-        cs.latencies.push_back(lat);
-        model_lat[static_cast<std::size_t>(m.model)].push_back(lat);
+        if (tagged) {
+          owner.push_back(static_cast<std::uint32_t>(f.chip * M + model));
+        }
         hop_sum += hop_c;
-        queue_wait_sum += qw;
-        formation_sum += fw;
-        service_sum += service_c;
-        cs.queue_wait_sum += qw;
-        cs.formation_sum += fw;
-        cs.service_sum += service_c;
-        const bool within = cfg.slo_cycles <= 0 || lat <= cfg.slo_cycles;
-        if (cfg.request_log != nullptr) {
-          cfg.request_log->push_back(
-              {m.model, f.chip, hop_c,
-               {m.arrival, dispatched_at, now, qw, fw, service_c, within}});
+        for (Scope* sc : {&fleet, &cs.stats}) {
+          sc->latency_sum += lat;
+          sc->queue_wait_sum += qw;
+          sc->formation_sum += fw;
+          sc->service_sum += service_c;
         }
-        if (!recs.empty()) {
-          recs[static_cast<std::size_t>(f.chip)]->on_completion(now, lat,
-                                                                within);
+        models[static_cast<std::size_t>(model)].latency_sum += lat;
+        const bool within = in.slo_cycles <= 0 || lat <= in.slo_cycles;
+        const RequestRecord rec{m.arrival, dispatched_at, now, qw,
+                                fw,        service_c,     within};
+        if (in.request_log != nullptr) in.request_log->push_back(rec);
+        if (in.fleet_log != nullptr) {
+          in.fleet_log->push_back({model, f.chip, hop_c, rec});
         }
-        if (rrec != nullptr) {
-          rrec->on_completion_routed(m.seq, m.arrival, dispatched_at, now,
-                                     hop_c, qw, fw, service_c, within,
-                                     static_cast<int>(members.size()), f.chip,
-                                     f.instance, no_notes);
+        if constexpr (kObs) {
+          if (cs.timeline != nullptr) {
+            cs.timeline->on_completion(now, lat, within);
+          }
+          if (rrec != nullptr) {
+            rrec->on_completion(
+                m.seq, m.arrival, dispatched_at, now, hop_c, qw, fw, service_c,
+                within, static_cast<int>(members.size()),
+                in.fleet ? f.chip : -1, f.instance,
+                cs.batch_notes[fi]);
+          }
+          if (lat_hist != nullptr) {
+            lat_hist->observe(
+                static_cast<std::uint64_t>(std::llround(std::max(lat, 0.0))));
+          }
         }
         arrivals.on_completion(now);
       }
       outstanding[static_cast<std::size_t>(f.chip)] -= members.size();
       cs.idle.insert(f.instance);
-      if (!recs.empty()) {
-        recs[static_cast<std::size_t>(f.chip)]->on_batch_done(now);
+      if constexpr (kObs) {
+        if (cs.timeline != nullptr) cs.timeline->on_batch_done(now);
       }
       try_dispatch();
       poll();
@@ -526,106 +548,243 @@ FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
       continue;
     }
     if (ta <= t_next) {
-      ++fs.offered;
-      const std::uint64_t seq = fs.offered;
-      const int model = cfg.mix.pick(seq);
-      ++model_offered[static_cast<std::size_t>(model)];
-      const int chip = router->route(
-          model, hosts[static_cast<std::size_t>(model)], outstanding);
+      ++fleet.s.offered;
+      const std::uint64_t seq = fleet.s.offered;
+      const int model = M > 1 ? in.mix->pick(seq) : 0;
+      ++models[static_cast<std::size_t>(model)].s.offered;
+      const int chip =
+          C > 1 ? in.router->route(model,
+                                   in.hosts[static_cast<std::size_t>(model)],
+                                   outstanding)
+                : 0;
       ++outstanding[static_cast<std::size_t>(chip)];
-      pending.reset();
-      poll();
+      has_pending = false;
       if (hop == 0) {
+        // Join (or be rejected) before the next arrival is drawn, so a
+        // closed-loop client whose request was dropped can issue it.
         enqueue(now, seq, model, chip);
+        poll();
         try_dispatch();
       } else {
         transit.push_back({now + hop, now, seq, model, chip});
+        poll();
       }
       continue;
     }
     // Flush deadline: some policy named this cycle, so it must dispatch now.
     if (!try_dispatch()) {
       throw std::logic_error(
-          "simulate_fleet: batching policy refused to dispatch at its own "
+          "serving event loop: batching policy refused to dispatch at its own "
           "flush deadline");
     }
   }
   for (const ChipState& cs : chips) {
     if (cs.queued_total != 0) {
       throw std::logic_error(
-          "simulate_fleet: batching policy left requests queued forever "
+          "serving event loop: batching policy left requests queued forever "
           "(flush_deadline returned +inf with idle instances)");
     }
   }
 
-  // Finalize: fleet aggregate, then per-chip (fleet makespan, so chip
-  // utilizations are comparable), then per-model slices.
+  // Finalize. Occupancy: the fleet over every instance, each chip over its
+  // own, all at the fleet makespan so chip utilizations compare.
   double queue_area = 0, busy_cycles = 0;
-  int total_instances = 0;
+  int instances = 0;
   for (int c = 0; c < C; ++c) {
     const ChipState& cs = chips[static_cast<std::size_t>(c)];
+    const int inst = in.chips[static_cast<std::size_t>(c)].instances;
     queue_area += cs.queue_area;
     busy_cycles += cs.busy_cycles;
-    total_instances += cfg.chips[static_cast<std::size_t>(c)].spec.point.instances;
-    out.total_area_mm2 += cfg.chips[static_cast<std::size_t>(c)].area_mm2;
+    instances += inst;
+    finish_occupancy(chips[static_cast<std::size_t>(c)].stats.s, now,
+                     cs.queue_area, cs.busy_cycles, inst);
   }
+  finish_occupancy(fleet.s, now, queue_area, busy_cycles, instances);
+
+  // Latencies: cut each chip's and model's share out before the fleet's own
+  // selection reorders the vector. A lone chip or model saw exactly what the
+  // fleet saw, so it reports the fleet's stats.
+  FleetStats out;
   if (!latencies.empty()) {
     out.mean_router_hop = hop_sum / static_cast<double>(latencies.size());
   }
-  finalize_stats(fs, latencies, wait_sum, queue_wait_sum, formation_sum,
-                 service_sum, fleet_batch_images, now, queue_area, busy_cycles,
-                 total_instances, cfg.slo_cycles);
-  out.per_chip.resize(static_cast<std::size_t>(C));
+  std::vector<double> subset;
+  auto finish_where = [&](Scope& sc, auto in_scope) {
+    subset.clear();
+    for (std::size_t i = 0; i < latencies.size(); ++i) {
+      if (in_scope(owner[i])) subset.push_back(latencies[i]);
+    }
+    finish_scope(sc, subset, in.slo_cycles);
+  };
+  const auto uM = static_cast<std::uint32_t>(M);
+  if (C > 1) {
+    for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(C); ++c) {
+      finish_where(chips[c].stats,
+                   [&](std::uint32_t o) { return o / uM == c; });
+    }
+  }
+  if (M > 1) {
+    for (std::uint32_t m = 0; m < uM; ++m) {
+      finish_where(models[m], [&](std::uint32_t o) { return o % uM == m; });
+    }
+  }
+  finish_scope(fleet, latencies, in.slo_cycles);
+
+  out.fleet = fleet.s;
+  for (const ChipState& cs : chips) {
+    out.per_chip.push_back(C == 1 ? fleet.s : cs.stats.s);
+  }
+  for (const Scope& sc : models) {
+    const ServingStats& ms = M == 1 ? fleet.s : sc.s;
+    out.per_model.push_back({"", ms.offered, ms.completed, ms.dropped, ms.p50,
+                             ms.p99, ms.p999, ms.mean_latency,
+                             ms.slo_attainment});
+  }
+
+  if constexpr (kObs) {
+    if (lat_hist != nullptr) {
+      obs::Registry& reg = obs::Registry::global();
+      reg.counter("serving.requests_completed").add(out.fleet.completed);
+      reg.counter("serving.requests_dropped").add(out.fleet.dropped);
+      reg.counter("serving.batches_dispatched").add(out.fleet.batches);
+    }
+    for (ChipState& cs : chips) {
+      if (cs.timeline != nullptr) cs.timeline->finish(now);
+    }
+    if (rrec != nullptr) rrec->finish();
+  }
+  return out;
+}
+
+template <bool kObs>
+FleetStats run_event_loop(const LoopInputs& in, ArrivalProcess& arrivals) {
+  // Every simulate_requests call is this case; the constants let the
+  // compiler drop the (chip, model) scans from its hot path.
+  if (in.chips.size() == 1 && in.chips.front().queues.size() == 1 &&
+      in.hop == 0) {
+    return event_loop<kObs, true>(in, arrivals);
+  }
+  return event_loop<kObs, false>(in, arrivals);
+}
+
+template FleetStats run_event_loop<true>(const LoopInputs&, ArrivalProcess&);
+template FleetStats run_event_loop<false>(const LoopInputs&, ArrivalProcess&);
+
+}  // namespace detail
+
+FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals) {
+  const int C = static_cast<int>(cfg.chips.size());
+  const int M = static_cast<int>(cfg.mix.names.size());
+  if (C == 0) {
+    throw std::invalid_argument("simulate_fleet: need at least one chip");
+  }
+  // pick() validates the mix; draw once up front so a run with no arrivals
+  // rejects a bad mix too.
+  cfg.mix.pick(1);
+  if (!(cfg.router_hop_cycles >= 0) ||
+      !std::isfinite(cfg.router_hop_cycles)) {
+    throw std::invalid_argument(
+        "simulate_fleet: router hop must be finite and >= 0");
+  }
+
+  // Placement: the ascending host list per model, validated up front so the
+  // router never sees an empty candidate set. Each hosted (chip, model) queue
+  // gets a fresh policy — policies may keep state (batching.h's
+  // one-per-simulation contract, applied per queue) — and its cost model.
+  std::vector<std::unique_ptr<BatchingPolicy>> policies;
+  std::vector<std::unique_ptr<FixedServiceModel>> services;
+  detail::LoopInputs in;
+  in.hosts.resize(static_cast<std::size_t>(M));
   for (int c = 0; c < C; ++c) {
-    ChipState& cs = chips[static_cast<std::size_t>(c)];
-    finalize_stats(cs.s, cs.latencies, cs.wait_sum, cs.queue_wait_sum,
-                   cs.formation_sum, cs.service_sum, cs.batch_images, now,
-                   cs.queue_area, cs.busy_cycles,
-                   cfg.chips[static_cast<std::size_t>(c)].spec.point.instances,
-                   cfg.slo_cycles);
-    out.per_chip[static_cast<std::size_t>(c)] = cs.s;
-    out.chip_labels.push_back(
-        cfg.chips[static_cast<std::size_t>(c)].spec.short_label());
+    const FleetChip& chip = cfg.chips[static_cast<std::size_t>(c)];
+    if (chip.spec.point.instances < 1) {
+      throw std::invalid_argument("simulate_fleet: chip needs >= 1 instance");
+    }
+    if (chip.costs.size() != static_cast<std::size_t>(M)) {
+      throw std::invalid_argument(
+          "simulate_fleet: chip needs one cost model per mix model");
+    }
+    detail::LoopChip lc;
+    lc.instances = chip.spec.point.instances;
+    lc.queues.resize(static_cast<std::size_t>(M));
+    for (int m = 0; m < M; ++m) {
+      if (!chip.spec.hosts(m)) continue;
+      const BatchCostModel& bc = chip.costs[static_cast<std::size_t>(m)];
+      if (!(bc.first_image_cycles > 0) || !(bc.marginal_image_cycles >= 0)) {
+        throw std::invalid_argument(
+            "simulate_fleet: hosted model needs positive first-image and "
+            "non-negative marginal cycles");
+      }
+      policies.push_back(make_policy(cfg.policy));
+      services.push_back(std::make_unique<FixedServiceModel>(bc));
+      lc.queues[static_cast<std::size_t>(m)] = {policies.back().get(),
+                                                services.back().get()};
+      in.hosts[static_cast<std::size_t>(m)].push_back(c);
+    }
+    in.chips.push_back(std::move(lc));
   }
   for (int m = 0; m < M; ++m) {
-    FleetModelStats ms;
-    ms.name = cfg.mix.names[static_cast<std::size_t>(m)];
-    ms.offered = model_offered[static_cast<std::size_t>(m)];
-    ms.dropped = model_dropped[static_cast<std::size_t>(m)];
-    auto& lat = model_lat[static_cast<std::size_t>(m)];
-    ms.completed = lat.size();
-    if (!lat.empty()) {
-      double sum = 0;
-      for (double l : lat) sum += l;
-      ms.mean_latency = sum / static_cast<double>(lat.size());
-      std::sort(lat.begin(), lat.end());
-      ms.p50 = nearest_rank(lat, 0.50);
-      ms.p99 = nearest_rank(lat, 0.99);
-      ms.p999 = nearest_rank(lat, 0.999);
+    if (in.hosts[static_cast<std::size_t>(m)].empty()) {
+      throw std::invalid_argument("simulate_fleet: model '" +
+                                  cfg.mix.names[static_cast<std::size_t>(m)] +
+                                  "' has no hosting chip");
     }
-    if (cfg.slo_cycles > 0 && ms.offered > 0) {
-      const auto within =
-          std::upper_bound(lat.begin(), lat.end(), cfg.slo_cycles) -
-          lat.begin();
-      ms.slo_attainment =
-          static_cast<double>(within) / static_cast<double>(ms.offered);
+  }
+  const std::unique_ptr<FleetRouter> router =
+      make_router(cfg.router, static_cast<std::size_t>(M));
+  in.mix = &cfg.mix;
+  in.router = router.get();
+  in.queue_capacity = cfg.queue_capacity;
+  in.slo_cycles = cfg.slo_cycles;
+  in.hop = cfg.router_hop_cycles;
+  in.fleet = true;
+  in.fleet_log = cfg.request_log;
+
+  // Observability: one timeline recorder per chip (queue/utilization/SLO-burn
+  // resolved per chip), one request-trace recorder for the whole fleet (trace
+  // ids are fleet-wide). Sink labels derive from cfg.label below.
+  std::vector<std::unique_ptr<obs::TimelineRecorder>> recs;
+  if (obs::timeline_sink().enabled()) {
+    for (detail::LoopChip& lc : in.chips) {
+      obs::TimelineConfig tcfg =
+          obs::default_timeline_config(lc.instances, cfg.slo_cycles);
+      tcfg.attainment_target = cfg.attainment_target;
+      if (cfg.expected_horizon_cycles > 0 &&
+          !obs::timeline_interval().overridden()) {
+        tcfg.interval_cycles = std::max(
+            tcfg.interval_cycles, cfg.expected_horizon_cycles / 256.0);
+      }
+      recs.push_back(std::make_unique<obs::TimelineRecorder>(tcfg));
+      lc.timeline = recs.back().get();
     }
-    out.per_model.push_back(std::move(ms));
+  }
+  std::unique_ptr<obs::RequestTraceRecorder> rrec;
+  if (obs::reqtrace_sink().enabled()) {
+    rrec = std::make_unique<obs::RequestTraceRecorder>(
+        obs::default_reqtrace_config(cfg.slo_cycles));
+    in.reqtrace = rrec.get();
+  }
+
+  FleetStats out = detail::run_event_loop<true>(in, arrivals);
+  for (const FleetChip& chip : cfg.chips) {
+    out.total_area_mm2 += chip.area_mm2;
+    out.chip_labels.push_back(chip.spec.short_label());
+  }
+  for (int m = 0; m < M; ++m) {
+    out.per_model[static_cast<std::size_t>(m)].name =
+        cfg.mix.names[static_cast<std::size_t>(m)];
   }
 
   if (rrec != nullptr) {
-    rrec->finish();
-    obs::ReqTraceSink& rsink = obs::ReqTraceSink::global();
-    const std::string rlabel =
-        cfg.label.empty() ? rsink.next_auto_label() : cfg.label;
-    rsink.record(rlabel, rrec->to_jsonl());
+    obs::LabeledJsonlSink& rsink = obs::reqtrace_sink();
+    rsink.record(cfg.label.empty() ? rsink.next_auto_label() : cfg.label,
+                 rrec->to_jsonl());
   }
   if (!recs.empty()) {
-    obs::TimelineSink& sink = obs::TimelineSink::global();
+    obs::LabeledJsonlSink& sink = obs::timeline_sink();
     const std::string base =
         cfg.label.empty() ? sink.next_auto_label() : cfg.label;
     for (int c = 0; c < C; ++c) {
-      recs[static_cast<std::size_t>(c)]->finish(fs.makespan);
       char suffix[16];
       std::snprintf(suffix, sizeof suffix, "/chip%02d", c);
       sink.record(base + suffix,

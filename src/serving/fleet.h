@@ -1,12 +1,13 @@
 // Multi-chip fleet serving simulator (DESIGN.md §15).
 //
-// Composes N single-chip request simulators — each chip a ServingPoint with
-// its own instances, per-(chip,model) FIFO queues, and batching policies —
-// behind a front-end router (fleet_router.h) into ONE deterministic
-// discrete-event loop on the same simulated cycle clock as
-// serving/request_sim. Traffic is a seeded mix over several models (YOLOv3 +
-// VGG-16 in the paper's co-location study); per-model placement restricts
-// which chips host which model, and the router picks among the hosts.
+// Composes N chips — each a ServingPoint with its own instances,
+// per-(chip,model) FIFO queues, and batching policies — behind a front-end
+// router (fleet_router.h) into ONE deterministic discrete-event loop. It is
+// the repo's only serving event loop: simulate_requests (request_sim.h) runs
+// it as one chip, one model and a zero hop. Traffic is a seeded mix over
+// several models (YOLOv3 + VGG-16 in the paper's co-location study);
+// per-model placement restricts which chips host which model, and the router
+// picks among the hosts.
 //
 // Determinism contract (the §10 guarantee, extended fleet-wide): simulated
 // time is a cycle counter, arrivals/mix/router draw only from seeded
@@ -80,7 +81,8 @@ struct FleetTrafficMix {
   std::uint64_t seed = 1;          ///< mix draw seed
 
   /// The model id serving request `seq` (1-based). Throws
-  /// std::invalid_argument on an empty or inconsistent mix.
+  /// std::invalid_argument on an empty or inconsistent mix, or a share that
+  /// is not positive and finite.
   int pick(std::uint64_t seq) const;
 
   /// Normalized stable rendering, e.g. "vgg16=0.70,yolo20=0.30".
@@ -164,7 +166,10 @@ struct FleetConfig {
 /// in-transit hops drain. Deterministic (see file header); single-threaded —
 /// callers parallelize across *fleets*. Throws std::invalid_argument on an
 /// inconsistent config (no chips, hostless model, bad mix/costs, negative
-/// hop). ~O(requests * (chips * models + log instances)).
+/// hop), checked before the first arrival. Like simulate_requests, it feeds
+/// the serving.* metrics counters and emits serving.batch trace events (with
+/// a chip argument) when those are on. ~O(requests * (chips * models + log
+/// instances)).
 FleetStats simulate_fleet(const FleetConfig& cfg, ArrivalProcess& arrivals);
 
 }  // namespace vlacnn::serving

@@ -207,7 +207,7 @@ struct RequestSimConfig {
   /// caller-owned recorder (finish() is called with the final makespan) and
   /// nothing is sunk globally. When null and the VLACNN_TIMELINE knob is on,
   /// the loop creates its own recorder and records the finished block in
-  /// TimelineSink::global() under `timeline_label` (auto-sequenced when
+  /// obs::timeline_sink() under `timeline_label` (auto-sequenced when
   /// empty — parallel drivers must label; the capacity planner does).
   obs::TimelineRecorder* timeline = nullptr;
   std::string timeline_label;
@@ -217,7 +217,7 @@ struct RequestSimConfig {
   /// called; nothing is sunk globally — the capacity planner uses this to
   /// label blocks by grid point). When null and the VLACNN_REQTRACE knob is
   /// on, the loop creates its own recorder (default config, no per-layer
-  /// segments) and records the block in ReqTraceSink::global() under
+  /// segments) and records the block in obs::reqtrace_sink() under
   /// `reqtrace_label` (auto-sequenced when empty).
   obs::RequestTraceRecorder* reqtrace = nullptr;
   std::string reqtrace_label;
@@ -230,17 +230,21 @@ struct RequestSimConfig {
 
 /// Run the discrete-event loop to exhaustion: every arrival the process
 /// produces is either served or dropped, and all in-flight batches complete.
-/// Deterministic: event order is (time, completions < arrivals < flushes,
-/// FIFO seq). Single-threaded and allocation-light — callers parallelize
-/// across *simulations*, never within one. ~O(requests * log instances).
+/// This is the fleet loop (fleet.h) run as one chip, one model and a zero
+/// hop, so both entry points share one event order: (time, completions <
+/// arrivals < flushes, FIFO seq). Single-threaded and allocation-light —
+/// callers parallelize across *simulations*, never within one.
+/// ~O(requests * log instances). With metrics or tracing on, it feeds the
+/// serving.* counters and emits serving.batch trace events.
 ServingStats simulate_requests(const RequestSimConfig& cfg,
                                ArrivalProcess& arrivals,
                                BatchingPolicy& policy);
 
 /// The same loop compiled with every observability hook (metrics, trace,
-/// timeline) removed — the baseline side of bench_obs_overhead's serving
-/// gate. Produces identical ServingStats and request_log; cfg.timeline is
-/// ignored.
+/// timeline, request trace) removed — the baseline side of
+/// bench_obs_overhead's serving gate. Produces identical ServingStats and
+/// request_log; cfg.timeline and cfg.reqtrace are ignored and no sink is
+/// written.
 ServingStats simulate_requests_no_obs(const RequestSimConfig& cfg,
                                       ArrivalProcess& arrivals,
                                       BatchingPolicy& policy);

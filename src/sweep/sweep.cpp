@@ -127,7 +127,7 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
     }
     SimConfig config = sim_config();
     const TimingStats stats = conv_simulate(algo, desc, config, &prof);
-    have_prof = obs::kernprof_enabled();
+    have_prof = obs::kernprof_sink().enabled();
     if (obs::metrics_enabled()) {
       static obs::Counter& points =
           obs::Registry::global().counter("sweep.sim_points");
@@ -151,11 +151,11 @@ SweepRow SweepDriver::get(const std::string& net_name, int conv_ordinal,
     if (span.active()) span.arg("net", net_name);
     SimConfig config = sim_config();
     const TimingStats stats = conv_simulate(algo, desc, config, &prof);
-    have_prof = obs::kernprof_enabled();
+    have_prof = obs::kernprof_sink().enabled();
     row = row_from_stats(key, desc, stats);
     db_->put(row);
   }
-  if (obs::kernprof_enabled() && !have_prof) {
+  if (obs::kernprof_sink().enabled() && !have_prof) {
     // The row came out of a warm ResultsDb, so no PMU rode along. Re-simulate
     // purely for the profile — same discipline as the v1 upgrade above: the
     // simulation is deterministic, so the recorded block is byte-identical to

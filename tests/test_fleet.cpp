@@ -6,15 +6,20 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "area/area_model.h"
 #include "common/thread_pool.h"
 #include "net/network.h"
+#include "obs/reqtrace.h"
 #include "serving/fleet.h"
 #include "serving/fleet_planner.h"
 #include "serving/request_sim.h"
@@ -192,6 +197,16 @@ FleetConfig fleet_config(int n_chips, int instances,
   return fc;
 }
 
+/// 64-bit FNV-1a: a stable fingerprint for pinning long outputs.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 TEST(FleetSim, SingleChipHopZeroMatchesSimulateRequests) {
   // One chip, one model, zero hop: the fleet loop must reproduce the
   // single-chip simulator bit for bit — same latencies, same attribution,
@@ -215,6 +230,30 @@ TEST(FleetSim, SingleChipHopZeroMatchesSimulateRequests) {
   ASSERT_EQ(fleet.per_chip.size(), 1u);
   EXPECT_EQ(fleet.per_chip[0].to_json(), single.to_json());
   EXPECT_EQ(fleet.mean_router_hop, 0.0);
+}
+
+TEST(FleetSim, ClosedLoopDropReachesTheClientBeforeTheNextDraw) {
+  // Three zero-think clients into one instance with a one-deep queue: the
+  // third request is dropped at t=0 and its client re-issues at once. The
+  // rejection must reach the client before the next arrival is drawn. Drawn
+  // first, the re-issue waited for the next completion, arrived in the past
+  // and ran simulated time backwards (mean_queue came out above max_queue).
+  FleetConfig fc = fleet_config(1, 1, {{100.0, 100.0}});
+  fc.queue_capacity = 1;
+  ClosedLoopArrivals a1(3, 0.0, 30);
+  const FleetStats fleet = simulate_fleet(fc, a1);
+  EXPECT_EQ(fleet.fleet.dropped, 28u);
+  EXPECT_EQ(fleet.fleet.makespan, 200.0);
+  EXPECT_LE(fleet.fleet.mean_queue, fleet.fleet.max_queue);
+
+  RequestSimConfig sc;
+  sc.instances = 1;
+  sc.cost = {100.0, 100.0};
+  sc.queue_capacity = 1;
+  ClosedLoopArrivals a2(3, 0.0, 30);
+  NoBatchPolicy policy;
+  EXPECT_EQ(fleet.fleet.to_json(),
+            simulate_requests(sc, a2, policy).to_json());
 }
 
 TEST(FleetSim, HandComputedHopSchedule) {
@@ -364,6 +403,127 @@ TEST(FleetSim, RejectsInvalidConfigs) {
   FleetConfig bad_cost = fleet_config(1, 1, {{0.0, 5.0}});
   TraceArrivals a5({0.0});
   EXPECT_THROW(simulate_fleet(bad_cost, a5), std::invalid_argument);
+
+  // A non-positive or non-finite share, with no arrivals: the mix is checked
+  // up front by pick()'s rule, not first at an arrival that never comes.
+  FleetConfig negative = fleet_config(1, 1, {{10.0, 5.0}});
+  negative.mix.shares = {-1.0};
+  TraceArrivals a6({});
+  EXPECT_THROW(simulate_fleet(negative, a6), std::invalid_argument);
+  FleetConfig non_finite = fleet_config(1, 1, {{10.0, 5.0}});
+  non_finite.mix.shares = {std::numeric_limits<double>::infinity()};
+  TraceArrivals a7({});
+  EXPECT_THROW(simulate_fleet(non_finite, a7), std::invalid_argument);
+}
+
+TEST(FleetSim, PinnedBytesThreeChipsTwoModelsJsqHopDrops) {
+  // Exact bytes, captured before the single-chip loop was folded into this
+  // one: three heterogeneous chips (chip 0 hosts model 0 only), a two-model
+  // mix, jsq routing, a non-representable router hop, adaptive batching and
+  // a queue bound that drops. Pins the whole stats JSON and a fingerprint
+  // of the fleet request-trace file.
+  FleetConfig fc = fleet_config(3, 2, {{301.7, 149.3}, {523.1, 260.9}}, 2);
+  fc.chips[2].spec.point.instances = 1;
+  fc.chips[0].spec.hosted_models = {0};
+  fc.mix.shares = {0.6, 0.4};
+  fc.router = {RouterSpec::Kind::kJoinShortestQueue, 1};
+  fc.policy = {BatchPolicySpec::Kind::kAdaptive, 4, 333.3};
+  fc.queue_capacity = 4;
+  fc.slo_cycles = 3000.0;
+  fc.router_hop_cycles = 57.3;
+  fc.label = "pinned";
+
+  obs::LabeledJsonlSink& sink = obs::reqtrace_sink();
+  const std::string before = sink.path();
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() /
+      ("vlacnn_pinned_fleet_" + std::to_string(::getpid()) + ".jsonl");
+  sink.reset();
+  sink.set_path(file.string());
+  PoissonArrivals arrivals(90.0, 4000, 9);
+  const FleetStats s = simulate_fleet(fc, arrivals);
+  sink.write_file();
+  sink.reset();
+  sink.set_path(before);
+  std::ifstream in(file);
+  std::stringstream trace;
+  trace << in.rdbuf();
+  std::filesystem::remove(file);
+
+  EXPECT_EQ(s.fleet.dropped, 60u);
+  EXPECT_EQ(
+      s.to_json(),
+      "{\"fleet\": {\"offered\": 4000, \"completed\": 3940, \"dropped\": 60, "
+      "\"batches\": 2066, \"mean_batch\": 1.9070667957405614, "
+      "\"p50\": 944.7712198588415, \"p95\": 1712.7179824377672, "
+      "\"p99\": 2126.5572580375592, \"p999\": 2512.6797343895305, "
+      "\"mean_latency\": 1040.0643804809038, "
+      "\"max_latency\": 2584.5687864830834, "
+      "\"mean_wait\": 398.17788301897917, "
+      "\"mean_queue_wait\": 187.49019103152884, "
+      "\"mean_formation_wait\": 153.38769198744234, "
+      "\"mean_service\": 641.88649746193175, "
+      "\"makespan\": 363102.20687879779, "
+      "\"mean_queue\": 3.6988452112137504, \"max_queue\": 11, "
+      "\"utilization\": 0.64126451337631973, \"slo\": 3000, "
+      "\"slo_attainment\": 0.98499999999999999}, "
+      "\"mean_router_hop\": 57.299999999996231, \"total_area_mm2\": 30, "
+      "\"per_chip\": [{\"chip\": 0, \"label\": \"c1v512l1i2\", "
+      "\"stats\": {\"offered\": 1481, \"completed\": 1481, \"dropped\": 0, "
+      "\"batches\": 654, \"mean_batch\": 2.2645259938837921, "
+      "\"p50\": 841.59999999997672, \"p95\": 1054.1565613758867, "
+      "\"p99\": 1121.4178721076169, \"p999\": 1137.1914551812224, "
+      "\"mean_latency\": 833.50333165906898, "
+      "\"max_latency\": 1139.8465687938442, "
+      "\"mean_wait\": 275.14040120667437, "
+      "\"mean_queue_wait\": 6.1817830949410144, "
+      "\"mean_formation_wait\": 211.65861811173963, "
+      "\"mean_service\": 558.36293045239779, "
+      "\"makespan\": 363102.20687879779, "
+      "\"mean_queue\": 0.88851466081775843, \"max_queue\": 4, "
+      "\"utilization\": 0.44172535159924853, \"slo\": 3000, "
+      "\"slo_attainment\": 1}}, {\"chip\": 1, \"label\": \"c1v512l1i2\", "
+      "\"stats\": {\"offered\": 1441, \"completed\": 1417, \"dropped\": 24, "
+      "\"batches\": 842, \"mean_batch\": 1.682897862232779, "
+      "\"p50\": 990.90000000000873, \"p95\": 1456.2926322005951, "
+      "\"p99\": 1686.788076229248, \"p999\": 1937.5594671731233, "
+      "\"mean_latency\": 1036.2429780556001, "
+      "\"max_latency\": 1942.6835231327568, "
+      "\"mean_wait\": 348.23387431530034, "
+      "\"mean_queue_wait\": 104.58383990060041, "
+      "\"mean_formation_wait\": 186.35003441470258, "
+      "\"mean_service\": 688.00910374029934, "
+      "\"makespan\": 363102.20687879779, "
+      "\"mean_queue\": 1.1353643467179411, \"max_queue\": 4, "
+      "\"utilization\": 0.68652557125109526, \"slo\": 3000, "
+      "\"slo_attainment\": 0.98334489937543368}}, {\"chip\": 2, "
+      "\"label\": \"c1v512l1i1\", \"stats\": {\"offered\": 1078, "
+      "\"completed\": 1042, \"dropped\": 36, \"batches\": 570, "
+      "\"mean_batch\": 1.8280701754385964, \"p50\": 1313.5150664193789, "
+      "\"p95\": 2080.9722993234172, \"p99\": 2366.3791964550037, "
+      "\"p999\": 2519.2713861084776, "
+      "\"mean_latency\": 1338.8473368549858, "
+      "\"max_latency\": 2584.5687864830834, "
+      "\"mean_wait\": 640.96979366880362, "
+      "\"mean_queue_wait\": 557.9278606156206, "
+      "\"mean_formation_wait\": 25.741933053185246, "
+      "\"mean_service\": 697.87754318618192, "
+      "\"makespan\": 363102.20687879779, "
+      "\"mean_queue\": 1.674966203678051, \"max_queue\": 4, "
+      "\"utilization\": 0.9498207211809111, \"slo\": 3000, "
+      "\"slo_attainment\": 0.96660482374768086}}], "
+      "\"per_model\": [{\"name\": \"m0\", \"offered\": 2424, "
+      "\"completed\": 2405, \"dropped\": 19, \"p50\": 841.59999999997672, "
+      "\"p99\": 1710.2907938225253, \"p999\": 2262.9773779465468, "
+      "\"mean_latency\": 875.85447767554786, "
+      "\"slo_attainment\": 0.99216171617161719}, {\"name\": \"m1\", "
+      "\"offered\": 1576, \"completed\": 1535, \"dropped\": 41, "
+      "\"p50\": 1203.3679649995174, \"p99\": 2290.8837141889962, "
+      "\"p999\": 2519.2713861084776, "
+      "\"mean_latency\": 1297.344391065197, "
+      "\"slo_attainment\": 0.97398477157360408}]}");
+  EXPECT_EQ(trace.str().size(), 22009u);
+  EXPECT_EQ(fnv1a(trace.str()), 0xb511a96ed6541594ull);
 }
 
 TEST(FleetSim, StatsJsonIsStableAndSelfDescribing) {

@@ -24,9 +24,13 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/jsonl_sink.h"
+#include "obs/kernprof.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "obs/sketch.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sweep/sweep.h"
 
@@ -806,6 +810,98 @@ TEST(ObsTrace, FlushesCompleteFileOnEarlyStdExit) {
   ASSERT_EQ(events->array.size(), 1u);
   EXPECT_EQ(events->array[0].find("name")->string, "cli.startup");
   std::filesystem::remove_all(dir);
+}
+
+// -- labeled JSONL sinks ------------------------------------------------------
+
+/// One of the three process-wide sinks: its kind, its path knob, its accessor.
+struct SinkCase {
+  const char* kind;
+  const char* knob;
+  obs::LabeledJsonlSink& (*sink)();
+};
+
+class LabeledJsonlSinkTest : public ::testing::TestWithParam<SinkCase> {};
+
+TEST_P(LabeledJsonlSinkTest, SortedBlocksAutoLabelsResetAndWriteErrors) {
+  const SinkCase& c = GetParam();
+  obs::LabeledJsonlSink& sink = c.sink();
+  EXPECT_EQ(&sink, &c.sink());  // one instance per kind
+  const std::string before = sink.path();
+  sink.reset();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vlacnn_test_sink_" + std::string(c.kind) + "_" +
+                    std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto file = dir / "nested" / "out.jsonl";
+  sink.set_path(file.string());
+  EXPECT_TRUE(sink.enabled());
+  EXPECT_EQ(sink.path(), file.string());
+
+  // Blocks come out in sorted label order behind "run" lines; a rewritten
+  // label keeps its last block; missing parent directories are created.
+  sink.record("zeta", "{\"type\":\"header\"}\n");
+  sink.record("alpha", "{\"type\":\"header\"}\n");
+  sink.record("zeta", "{\"type\":\"header\",\"v\":2}\n");
+  EXPECT_EQ(sink.block_count(), 2u);
+  EXPECT_EQ(sink.write_file(), file.string());
+  std::ifstream in(file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(),
+            "{\"type\":\"run\",\"label\":\"alpha\"}\n"
+            "{\"type\":\"header\"}\n"
+            "{\"type\":\"run\",\"label\":\"zeta\"}\n"
+            "{\"type\":\"header\",\"v\":2}\n");
+
+  // Write errors throw and name the sink; with no path, they name the knob.
+  sink.set_path(file.parent_path().string());  // a directory: cannot open
+  try {
+    sink.write_file();
+    ADD_FAILURE() << "writing to a directory did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(c.kind), std::string::npos);
+  }
+  sink.set_path("");
+  EXPECT_FALSE(sink.enabled());
+  try {
+    sink.write_file();
+    ADD_FAILURE() << "writing with no path did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(c.knob), std::string::npos);
+  }
+
+  // reset() drops the blocks and restarts the zero-padded auto labels.
+  sink.reset();
+  EXPECT_EQ(sink.block_count(), 0u);
+  EXPECT_EQ(sink.next_auto_label(), "run000001");
+  EXPECT_EQ(sink.next_auto_label(), "run000002");
+  sink.reset();
+  EXPECT_EQ(sink.next_auto_label(), "run000001");
+  sink.reset();
+  sink.set_path(before);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, LabeledJsonlSinkTest,
+    ::testing::Values(
+        SinkCase{"timeline", "VLACNN_TIMELINE", &obs::timeline_sink},
+        SinkCase{"reqtrace", "VLACNN_REQTRACE", &obs::reqtrace_sink},
+        SinkCase{"kernprof", "VLACNN_KERNPROF", &obs::kernprof_sink}),
+    [](const ::testing::TestParamInfo<SinkCase>& info) {
+      return std::string(info.param.kind);
+    });
+
+TEST(LabeledJsonlSink, KnobValueAtConstructionSetsThePath) {
+  const obs::LabeledJsonlSink unset("demo", "DEMO_SINK_PATH", nullptr);
+  EXPECT_FALSE(unset.enabled());
+  EXPECT_EQ(unset.path(), "");
+  const obs::LabeledJsonlSink empty("demo", "DEMO_SINK_PATH", "");
+  EXPECT_FALSE(empty.enabled());
+  const obs::LabeledJsonlSink set("demo", "DEMO_SINK_PATH", "/tmp/demo.jsonl");
+  EXPECT_TRUE(set.enabled());
+  EXPECT_EQ(set.path(), "/tmp/demo.jsonl");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // cycles reconstitutes the kernel total bit for bit, for every algorithm at
 // sampled and unsampled scales), event-aligned counter windows with
 // auto-coarsening, the error contracts, the VLACNN_KERNPROF knobs, and the
-// deterministic KernProfSink.
+// deterministic kernel-profile sink.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,33 +28,33 @@ TEST(KernProfKnobs, IntervalEnvParsesStrictlyAndMalformedValuesThrow) {
   // lazy one-shot env parse is fresh here; in a whole-binary run this test is
   // registered first in the file, before anything else touches the knob.
   setenv("VLACNN_KERNPROF_INTERVAL", "bogus", 1);
-  EXPECT_THROW(obs::kernprof_interval_cycles(), std::runtime_error);
+  EXPECT_THROW(obs::kernprof_interval().cycles(), std::runtime_error);
   setenv("VLACNN_KERNPROF_INTERVAL", "1e6trailing", 1);
-  EXPECT_THROW(obs::kernprof_interval_cycles(), std::runtime_error);
+  EXPECT_THROW(obs::kernprof_interval().cycles(), std::runtime_error);
   setenv("VLACNN_KERNPROF_INTERVAL", "0", 1);  // must be positive
-  EXPECT_THROW(obs::kernprof_interval_cycles(), std::runtime_error);
+  EXPECT_THROW(obs::kernprof_interval().cycles(), std::runtime_error);
   setenv("VLACNN_KERNPROF_INTERVAL", "-5e5", 1);
-  EXPECT_THROW(obs::kernprof_interval_cycles(), std::runtime_error);
+  EXPECT_THROW(obs::kernprof_interval().cycles(), std::runtime_error);
   setenv("VLACNN_KERNPROF_INTERVAL", "inf", 1);
-  EXPECT_THROW(obs::kernprof_interval_cycles(), std::runtime_error);
+  EXPECT_THROW(obs::kernprof_interval().cycles(), std::runtime_error);
   setenv("VLACNN_KERNPROF_INTERVAL", "2.5e5", 1);
-  EXPECT_DOUBLE_EQ(obs::kernprof_interval_cycles(), 2.5e5);
-  EXPECT_TRUE(obs::kernprof_interval_overridden());
+  EXPECT_DOUBLE_EQ(obs::kernprof_interval().cycles(), 2.5e5);
+  EXPECT_TRUE(obs::kernprof_interval().overridden());
   unsetenv("VLACNN_KERNPROF_INTERVAL");
-  obs::set_kernprof_interval_cycles(1e6);  // restore the default value
+  obs::kernprof_interval().set(1e6);  // restore the default value
 }
 
 TEST(KernProfKnobs, PathSetterGatesCollectionAndIntervalSetterValidates) {
-  const std::string before = obs::kernprof_path();
-  obs::set_kernprof_path("/tmp/kp.jsonl");
-  EXPECT_TRUE(obs::kernprof_enabled());
-  EXPECT_EQ(obs::kernprof_path(), "/tmp/kp.jsonl");
-  obs::set_kernprof_path("");
-  EXPECT_FALSE(obs::kernprof_enabled());
-  obs::set_kernprof_path(before);
+  const std::string before = obs::kernprof_sink().path();
+  obs::kernprof_sink().set_path("/tmp/kp.jsonl");
+  EXPECT_TRUE(obs::kernprof_sink().enabled());
+  EXPECT_EQ(obs::kernprof_sink().path(), "/tmp/kp.jsonl");
+  obs::kernprof_sink().set_path("");
+  EXPECT_FALSE(obs::kernprof_sink().enabled());
+  obs::kernprof_sink().set_path(before);
 
-  EXPECT_THROW(obs::set_kernprof_interval_cycles(0), std::invalid_argument);
-  EXPECT_THROW(obs::set_kernprof_interval_cycles(-1e5), std::invalid_argument);
+  EXPECT_THROW(obs::kernprof_interval().set(0), std::invalid_argument);
+  EXPECT_THROW(obs::kernprof_interval().set(-1e5), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- partition ------
@@ -74,7 +74,7 @@ TEST(Pmu, PartitionFoldsBitExactlyForEveryAlgorithmAndScale) {
   // loops in the sampled variant (scales are then non-trivial), yet cheap.
   const ConvLayerDesc d{32, 24, 24, 32, 3, 3, 1, 1};  // winograd-applicable
   const std::string path = "/tmp/vlacnn_test_pmu_partition.jsonl";
-  obs::set_kernprof_path(path);
+  obs::kernprof_sink().set_path(path);
   for (Algo a : kAllAlgos) {
     ASSERT_TRUE(algo_applicable(a, d)) << to_string(a);
     for (const bool exact : {false, true}) {
@@ -92,8 +92,8 @@ TEST(Pmu, PartitionFoldsBitExactlyForEveryAlgorithmAndScale) {
       EXPECT_EQ(prof.cycles, s.cycles);
     }
   }
-  obs::set_kernprof_path("");
-  obs::KernProfSink::global().reset();
+  obs::kernprof_sink().set_path("");
+  obs::kernprof_sink().reset();
 }
 
 TEST(Pmu, ProfileNeverChangesSimulatedCycles) {
@@ -101,11 +101,11 @@ TEST(Pmu, ProfileNeverChangesSimulatedCycles) {
   for (Algo a : kAllAlgos) {
     const SimConfig config = make_sim_config(512, 1u << 20);
     const TimingStats plain = conv_simulate(a, d, config);
-    obs::set_kernprof_path("/tmp/vlacnn_test_pmu_noeffect.jsonl");
+    obs::kernprof_sink().set_path("/tmp/vlacnn_test_pmu_noeffect.jsonl");
     obs::KernProfRun prof;
     const TimingStats profiled = conv_simulate(a, d, config, &prof);
-    obs::set_kernprof_path("");
-    obs::KernProfSink::global().reset();
+    obs::kernprof_sink().set_path("");
+    obs::kernprof_sink().reset();
     EXPECT_EQ(plain.cycles, profiled.cycles) << to_string(a);
     EXPECT_EQ(plain.mem_bytes, profiled.mem_bytes) << to_string(a);
     EXPECT_EQ(plain.flops, profiled.flops) << to_string(a);
@@ -114,7 +114,7 @@ TEST(Pmu, ProfileNeverChangesSimulatedCycles) {
 
 TEST(Pmu, ExpectedPhaseNamesPerAlgorithm) {
   const ConvLayerDesc d{16, 16, 16, 16, 3, 3, 1, 1};
-  obs::set_kernprof_path("/tmp/vlacnn_test_pmu_names.jsonl");
+  obs::kernprof_sink().set_path("/tmp/vlacnn_test_pmu_names.jsonl");
   auto names = [&](Algo a) {
     obs::KernProfRun prof;
     conv_simulate(a, d, make_sim_config(512, 1u << 20), &prof);
@@ -130,8 +130,8 @@ TEST(Pmu, ExpectedPhaseNamesPerAlgorithm) {
   EXPECT_EQ(names(Algo::kWinograd),
             (V{"input-transform", "tuple-gemm", "output-transform",
                "(other)"}));
-  obs::set_kernprof_path("");
-  obs::KernProfSink::global().reset();
+  obs::kernprof_sink().set_path("");
+  obs::kernprof_sink().reset();
 }
 
 TEST(Pmu, OtherPhaseAbsorbsUnannotatedCyclesExactly) {
@@ -293,15 +293,15 @@ TEST(KernProfSink, WritesBlocksInSortedLabelOrderWithRunHeaders) {
   namespace fs = std::filesystem;
   const fs::path file =
       fs::temp_directory_path() / "vlacnn_test_kernprof_sink.jsonl";
-  const std::string before = obs::kernprof_path();
-  obs::set_kernprof_path(file.string());
-  obs::KernProfSink::global().reset();
+  const std::string before = obs::kernprof_sink().path();
+  obs::kernprof_sink().set_path(file.string());
+  obs::kernprof_sink().reset();
   // Recorded out of order; rewritten labels take the last write.
-  obs::KernProfSink::global().record("zzz", "{\"type\":\"kernel\"}\n");
-  obs::KernProfSink::global().record("aaa", "{\"type\":\"kernel\"}\n");
-  obs::KernProfSink::global().record("zzz", "{\"type\":\"kernel\",\"v\":2}\n");
-  EXPECT_EQ(obs::KernProfSink::global().block_count(), 2u);
-  const std::string path = obs::KernProfSink::global().write_file();
+  obs::kernprof_sink().record("zzz", "{\"type\":\"kernel\"}\n");
+  obs::kernprof_sink().record("aaa", "{\"type\":\"kernel\"}\n");
+  obs::kernprof_sink().record("zzz", "{\"type\":\"kernel\",\"v\":2}\n");
+  EXPECT_EQ(obs::kernprof_sink().block_count(), 2u);
+  const std::string path = obs::kernprof_sink().write_file();
   std::ifstream in(path);
   std::ostringstream ss;
   ss << in.rdbuf();
@@ -310,24 +310,24 @@ TEST(KernProfSink, WritesBlocksInSortedLabelOrderWithRunHeaders) {
             "{\"type\":\"kernel\"}\n"
             "{\"type\":\"run\",\"label\":\"zzz\"}\n"
             "{\"type\":\"kernel\",\"v\":2}\n");
-  obs::KernProfSink::global().reset();
-  obs::set_kernprof_path(before);
+  obs::kernprof_sink().reset();
+  obs::kernprof_sink().set_path(before);
   fs::remove(file);
 }
 
 TEST(KernProfSink, WriteWithoutPathThrows) {
-  const std::string before = obs::kernprof_path();
-  obs::set_kernprof_path("");
-  EXPECT_THROW(obs::KernProfSink::global().write_file(), std::runtime_error);
-  obs::set_kernprof_path(before);
+  const std::string before = obs::kernprof_sink().path();
+  obs::kernprof_sink().set_path("");
+  EXPECT_THROW(obs::kernprof_sink().write_file(), std::runtime_error);
+  obs::kernprof_sink().set_path(before);
 }
 
 TEST(KernProfRun, JsonlShapeAndLabelFallback) {
   // Outside a network sweep (empty net) the label falls back to the layer
   // shape string; the driver is exercised end-to-end via conv_simulate.
   const ConvLayerDesc d{4, 8, 8, 4, 3, 3, 1, 1};
-  obs::set_kernprof_path("/tmp/vlacnn_test_pmu_label.jsonl");
-  obs::KernProfSink::global().reset();
+  obs::kernprof_sink().set_path("/tmp/vlacnn_test_pmu_label.jsonl");
+  obs::kernprof_sink().reset();
   obs::KernProfRun prof;
   conv_simulate(Algo::kGemm3, d, make_sim_config(512, 1u << 20), &prof);
   EXPECT_EQ(prof.net, "");
@@ -338,9 +338,9 @@ TEST(KernProfRun, JsonlShapeAndLabelFallback) {
   EXPECT_EQ(jsonl.find("{\"type\":\"kernel\""), 0u);
   EXPECT_NE(jsonl.find("{\"type\":\"phase\",\"name\":\"im2col\""),
             std::string::npos);
-  EXPECT_EQ(obs::KernProfSink::global().block_count(), 1u);
-  obs::set_kernprof_path("");
-  obs::KernProfSink::global().reset();
+  EXPECT_EQ(obs::kernprof_sink().block_count(), 1u);
+  obs::kernprof_sink().set_path("");
+  obs::kernprof_sink().reset();
 }
 
 }  // namespace

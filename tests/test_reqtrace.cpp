@@ -64,14 +64,14 @@ TEST(ReqTraceKnobs, EnvParsesAndMalformedValuesThrow) {
 }
 
 TEST(ReqTraceKnobs, PathSetterGatesCollection) {
-  const std::string before = obs::reqtrace_path();
-  obs::set_reqtrace_path("/tmp/rt.jsonl");
-  EXPECT_TRUE(obs::reqtrace_enabled());
-  EXPECT_EQ(obs::reqtrace_path(), "/tmp/rt.jsonl");
-  obs::set_reqtrace_path("");
-  EXPECT_FALSE(obs::reqtrace_enabled());
+  const std::string before = obs::reqtrace_sink().path();
+  obs::reqtrace_sink().set_path("/tmp/rt.jsonl");
+  EXPECT_TRUE(obs::reqtrace_sink().enabled());
+  EXPECT_EQ(obs::reqtrace_sink().path(), "/tmp/rt.jsonl");
+  obs::reqtrace_sink().set_path("");
+  EXPECT_FALSE(obs::reqtrace_sink().enabled());
   EXPECT_THROW(obs::set_reqtrace_top_k(0), std::invalid_argument);
-  obs::set_reqtrace_path(before);
+  obs::reqtrace_sink().set_path(before);
 }
 
 // -- keep reasons -------------------------------------------------------------
@@ -505,14 +505,14 @@ TEST(ReqTraceJsonl, ByteStableAcrossRuns) {
 // -- sink ---------------------------------------------------------------------
 
 TEST(ReqTraceSink, WritesBlocksInSortedLabelOrder) {
-  obs::ReqTraceSink& sink = obs::ReqTraceSink::global();
+  obs::LabeledJsonlSink& sink = obs::reqtrace_sink();
   sink.reset();
-  const std::string before_path = obs::reqtrace_path();
+  const std::string before_path = obs::reqtrace_sink().path();
   const auto dir =
       std::filesystem::temp_directory_path() / "vlacnn_test_reqtrace";
   std::filesystem::remove_all(dir);
   const auto file = dir / "nested" / "rt.jsonl";
-  obs::set_reqtrace_path(file.string());
+  obs::reqtrace_sink().set_path(file.string());
 
   sink.record("zeta", "{\"type\":\"header\"}\n");
   sink.record("alpha", "{\"type\":\"header\"}\n");
@@ -537,19 +537,19 @@ TEST(ReqTraceSink, WritesBlocksInSortedLabelOrder) {
   EXPECT_EQ(sink.next_auto_label(), "run000001");
   EXPECT_EQ(sink.next_auto_label(), "run000002");
   sink.reset();
-  obs::set_reqtrace_path(before_path);
+  obs::reqtrace_sink().set_path(before_path);
   std::filesystem::remove_all(dir);
 }
 
 TEST(ReqTraceSink, WriteWithoutPathThrows) {
-  const std::string before = obs::reqtrace_path();
-  obs::set_reqtrace_path("");
-  obs::ReqTraceSink& sink = obs::ReqTraceSink::global();
+  const std::string before = obs::reqtrace_sink().path();
+  obs::reqtrace_sink().set_path("");
+  obs::LabeledJsonlSink& sink = obs::reqtrace_sink();
   sink.reset();
   sink.record("x", "{}\n");
   EXPECT_THROW(sink.write_file(), std::runtime_error);
   sink.reset();
-  obs::set_reqtrace_path(before);
+  obs::reqtrace_sink().set_path(before);
 }
 
 }  // namespace

@@ -7,13 +7,17 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "net/models.h"
+#include "obs/reqtrace.h"
 #include "obs/timeline.h"
 #include "serving/request_sim.h"
 
@@ -486,7 +490,7 @@ TEST(RequestSim, NoObsVariantMatchesInstrumentedLoopByteForByte) {
 TEST(RequestSim, CallerOwnedTimelineRecorderSeesTheWholeRun) {
   // The event loop drives a caller-supplied recorder and finishes it at the
   // makespan; nothing reaches the global sink in that mode.
-  obs::TimelineSink::global().reset();
+  obs::timeline_sink().reset();
   obs::TimelineConfig tc;
   tc.interval_cycles = 100.0;
   obs::TimelineRecorder rec(tc);
@@ -500,7 +504,83 @@ TEST(RequestSim, CallerOwnedTimelineRecorderSeesTheWholeRun) {
   EXPECT_EQ(last.t_end, s.makespan);
   EXPECT_EQ(last.cum_completed, s.completed);
   EXPECT_EQ(last.cum_offered, s.offered);
-  EXPECT_EQ(obs::TimelineSink::global().block_count(), 0u);
+  EXPECT_EQ(obs::timeline_sink().block_count(), 0u);
+}
+
+/// 64-bit FNV-1a: a stable fingerprint for pinning long outputs.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(RequestSim, PinnedBytesClosedLoopDropsNotesAndRecorders) {
+  // Exact bytes, captured before simulate_requests became a one-chip call
+  // into the fleet event loop: a closed loop whose queue bound drops most
+  // requests, an SLO, the request log, a stateful service model that emits
+  // trace notes, and caller-owned timeline and request-trace recorders.
+  // Any change to event order, attribution or recorder hooks shows here.
+  class NotingModel final : public ServiceModel {
+   public:
+    double service_cycles(int batch) override {
+      ++calls_;
+      return 700.25 + 130.5 * (batch - 1) + 11.0 * (calls_ % 3);
+    }
+    void trace_annotations(std::vector<obs::TraceNote>& out) override {
+      out.push_back({"call", std::to_string(calls_)});
+    }
+
+   private:
+    int calls_ = 0;
+  } model;
+  RequestSimConfig c = config(2, 0.0, 0.0, 3, 2500.0);
+  c.service = &model;
+  std::vector<RequestRecord> log;
+  c.request_log = &log;
+  obs::TimelineConfig tc;
+  tc.interval_cycles = 1000.0;
+  tc.instances = 2;
+  tc.slo_cycles = 2500.0;
+  obs::TimelineRecorder timeline(tc);
+  obs::ReqTraceConfig rc;
+  rc.top_k = 4;
+  rc.head_every = 5;
+  rc.slo_cycles = 2500.0;
+  rc.service_layers = {{"conv1/gemm6", 3.0}, {"conv2/winograd", 1.0}};
+  obs::RequestTraceRecorder reqtrace(rc);
+  c.timeline = &timeline;
+  c.reqtrace = &reqtrace;
+  ClosedLoopArrivals arrivals(12, 150.0, 400);
+  AdaptiveBatchPolicy policy(4, 300.0);
+  const ServingStats s = simulate_requests(c, arrivals, policy);
+
+  EXPECT_EQ(s.to_json(),
+            "{\"offered\": 400, \"completed\": 108, \"dropped\": 292, "
+            "\"batches\": 36, \"mean_batch\": 3, \"p50\": 1355.5, "
+            "\"p95\": 1505.5, \"p99\": 1633.5, \"p999\": 1633.5, "
+            "\"mean_latency\": 1411.4722222222222, \"max_latency\": 1633.5, "
+            "\"mean_wait\": 439.22222222222223, "
+            "\"mean_queue_wait\": 420.39583333333331, "
+            "\"mean_formation_wait\": 18.826388888888889, "
+            "\"mean_service\": 972.25, \"makespan\": 18178.25, "
+            "\"mean_queue\": 2.6094921128271422, \"max_queue\": 3, "
+            "\"utilization\": 0.96271643309999588, \"slo\": 2500, "
+            "\"slo_attainment\": 0.27000000000000002}");
+  EXPECT_EQ(fnv1a(timeline.to_jsonl()), 0xc4a95a98c9663d7cull);
+  EXPECT_EQ(fnv1a(reqtrace.to_jsonl()), 0x2b2ffd9b7233e149ull);
+  std::string log_text;
+  for (const RequestRecord& r : log) {
+    char line[256];
+    std::snprintf(line, sizeof line, "%a %a %a %a %a %a %d\n", r.arrival,
+                  r.dispatch, r.completion, r.queue_wait, r.formation_wait,
+                  r.service, r.within_slo ? 1 : 0);
+    log_text += line;
+  }
+  ASSERT_EQ(log.size(), 108u);
+  EXPECT_EQ(fnv1a(log_text), 0x95c5595124eb94e2ull);
 }
 
 // ------------------------------------------------ capacity planner ---------
@@ -604,18 +684,18 @@ TEST_F(CapacityTest, TimelineJsonlIsByteIdenticalAcrossPoolSizes) {
   q.requests = 300;
   q.seed = 42;
 
-  const std::string before_path = obs::timeline_path();
+  const std::string before_path = obs::timeline_sink().path();
   auto run_with_pool = [&](int threads, const char* tag) {
     const auto file = dir_ / (std::string("tl_") + tag + ".jsonl");
-    obs::set_timeline_path(file.string());
-    obs::TimelineSink::global().reset();
+    obs::timeline_sink().set_path(file.string());
+    obs::timeline_sink().reset();
     ResultsDb db((dir_ / (std::string("tl_") + tag + ".csv")).string());
     SweepDriver driver(&db);
     ThreadPool pool(threads);
     CapacityPlanner(&driver).evaluate_grid(net, q, std::nullopt, &pool);
-    EXPECT_GT(obs::TimelineSink::global().block_count(), 0u);
-    obs::TimelineSink::global().write_file();
-    obs::TimelineSink::global().reset();
+    EXPECT_GT(obs::timeline_sink().block_count(), 0u);
+    obs::timeline_sink().write_file();
+    obs::timeline_sink().reset();
     std::ifstream in(file);
     std::stringstream ss;
     ss << in.rdbuf();
@@ -623,7 +703,7 @@ TEST_F(CapacityTest, TimelineJsonlIsByteIdenticalAcrossPoolSizes) {
   };
   const std::string serial = run_with_pool(1, "p1");
   const std::string parallel = run_with_pool(8, "p8");
-  obs::set_timeline_path(before_path);
+  obs::timeline_sink().set_path(before_path);
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
   // Labels carry the grid point, so blocks are self-describing.

@@ -373,16 +373,16 @@ TEST(TimelineAnalysis, UnclosedAlertRunsToLastSnapshot) {
 // -- sink + knobs -------------------------------------------------------------
 
 TEST(TimelineSink, WritesBlocksInSortedLabelOrder) {
-  obs::TimelineSink& sink = obs::TimelineSink::global();
+  obs::LabeledJsonlSink& sink = obs::timeline_sink();
   sink.reset();
-  const std::string before_path = obs::timeline_path();
+  const std::string before_path = obs::timeline_sink().path();
   const auto dir =
       std::filesystem::temp_directory_path() / "vlacnn_test_timeline";
   std::filesystem::remove_all(dir);
   const auto file = dir / "nested" / "tl.jsonl";
-  obs::set_timeline_path(file.string());
-  EXPECT_TRUE(obs::timeline_enabled());
-  EXPECT_EQ(obs::timeline_path(), file.string());
+  obs::timeline_sink().set_path(file.string());
+  EXPECT_TRUE(obs::timeline_sink().enabled());
+  EXPECT_EQ(obs::timeline_sink().path(), file.string());
 
   sink.record("zeta", "{\"type\":\"header\"}\n");
   sink.record("alpha", "{\"type\":\"header\"}\n");
@@ -408,34 +408,34 @@ TEST(TimelineSink, WritesBlocksInSortedLabelOrder) {
   EXPECT_EQ(sink.next_auto_label(), "run000001");
   EXPECT_EQ(sink.next_auto_label(), "run000002");
   sink.reset();
-  obs::set_timeline_path(before_path);
+  obs::timeline_sink().set_path(before_path);
   std::filesystem::remove_all(dir);
 }
 
 TEST(TimelineKnobs, ProgrammaticSettersGateAndValidate) {
-  const std::string before_path = obs::timeline_path();
-  obs::set_timeline_path("");
-  EXPECT_FALSE(obs::timeline_enabled());
-  obs::TimelineSink& sink = obs::TimelineSink::global();
+  const std::string before_path = obs::timeline_sink().path();
+  obs::timeline_sink().set_path("");
+  EXPECT_FALSE(obs::timeline_sink().enabled());
+  obs::LabeledJsonlSink& sink = obs::timeline_sink();
   sink.reset();
   sink.record("x", "{}\n");
   EXPECT_THROW(sink.write_file(), std::runtime_error);  // no path
   sink.reset();
 
-  EXPECT_THROW(obs::set_timeline_interval_cycles(0), std::invalid_argument);
-  EXPECT_THROW(obs::set_timeline_interval_cycles(-5), std::invalid_argument);
-  EXPECT_THROW(obs::set_timeline_interval_cycles(
+  EXPECT_THROW(obs::timeline_interval().set(0), std::invalid_argument);
+  EXPECT_THROW(obs::timeline_interval().set(-5), std::invalid_argument);
+  EXPECT_THROW(obs::timeline_interval().set(
                    std::numeric_limits<double>::infinity()),
                std::invalid_argument);
-  const double before = obs::timeline_interval_cycles();
-  obs::set_timeline_interval_cycles(5e5);
+  const double before = obs::timeline_interval().cycles();
+  obs::timeline_interval().set(5e5);
   obs::TimelineConfig c = obs::default_timeline_config(3, 1234.0);
   EXPECT_EQ(c.interval_cycles, 5e5);
   EXPECT_EQ(c.instances, 3);
   EXPECT_EQ(c.slo_cycles, 1234.0);
   EXPECT_EQ(obs::default_timeline_config(0, 0).instances, 1);  // clamped
-  obs::set_timeline_interval_cycles(before);
-  obs::set_timeline_path(before_path);
+  obs::timeline_interval().set(before);
+  obs::timeline_sink().set_path(before_path);
 }
 
 // -- obs/json_util <-> report/json contract ----------------------------------

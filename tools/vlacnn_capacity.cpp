@@ -275,9 +275,9 @@ int run_fleet(int argc, char** argv) {
       } else if (flag == "--json") {
         json_path = next();
       } else if (flag == "--timeline") {
-        vlacnn::obs::set_timeline_path(next());
+        vlacnn::obs::timeline_sink().set_path(next());
       } else if (flag == "--reqtrace") {
-        vlacnn::obs::set_reqtrace_path(next());
+        vlacnn::obs::reqtrace_sink().set_path(next());
       } else {
         std::fprintf(stderr, "vlacnn-capacity: unknown fleet flag '%s'\n",
                      flag.c_str());
@@ -422,15 +422,15 @@ int run_fleet(int argc, char** argv) {
       std::printf("wrote %s (%zu candidates)\n", json_path.c_str(),
                   plan.candidates.size());
     }
-    if (vlacnn::obs::timeline_enabled()) {
+    if (vlacnn::obs::timeline_sink().enabled()) {
       std::printf("timeline: %zu run blocks -> %s (written at exit)\n",
-                  vlacnn::obs::TimelineSink::global().block_count(),
-                  vlacnn::obs::timeline_path().c_str());
+                  vlacnn::obs::timeline_sink().block_count(),
+                  vlacnn::obs::timeline_sink().path().c_str());
     }
-    if (vlacnn::obs::reqtrace_enabled()) {
+    if (vlacnn::obs::reqtrace_sink().enabled()) {
       std::printf("reqtrace: %zu run blocks -> %s (written at exit)\n",
-                  vlacnn::obs::ReqTraceSink::global().block_count(),
-                  vlacnn::obs::reqtrace_path().c_str());
+                  vlacnn::obs::reqtrace_sink().block_count(),
+                  vlacnn::obs::reqtrace_sink().path().c_str());
     }
     return plan.best.has_value() ? 0 : 1;
   } catch (const std::exception& e) {
@@ -499,9 +499,9 @@ int main(int argc, char** argv) {
       } else if (flag == "--json") {
         json_path = next();
       } else if (flag == "--timeline") {
-        vlacnn::obs::set_timeline_path(next());
+        vlacnn::obs::timeline_sink().set_path(next());
       } else if (flag == "--reqtrace") {
-        vlacnn::obs::set_reqtrace_path(next());
+        vlacnn::obs::reqtrace_sink().set_path(next());
       } else {
         std::fprintf(stderr, "vlacnn-capacity: unknown flag '%s'\n",
                      flag.c_str());
@@ -661,15 +661,15 @@ int main(int argc, char** argv) {
       std::printf("wrote %s (%zu candidates)\n", json_path.c_str(),
                   candidates.size());
     }
-    if (vlacnn::obs::timeline_enabled()) {
+    if (vlacnn::obs::timeline_sink().enabled()) {
       std::printf("timeline: %zu run blocks -> %s (written at exit)\n",
-                  vlacnn::obs::TimelineSink::global().block_count(),
-                  vlacnn::obs::timeline_path().c_str());
+                  vlacnn::obs::timeline_sink().block_count(),
+                  vlacnn::obs::timeline_sink().path().c_str());
     }
-    if (vlacnn::obs::reqtrace_enabled()) {
+    if (vlacnn::obs::reqtrace_sink().enabled()) {
       std::printf("reqtrace: %zu run blocks -> %s (written at exit)\n",
-                  vlacnn::obs::ReqTraceSink::global().block_count(),
-                  vlacnn::obs::reqtrace_path().c_str());
+                  vlacnn::obs::reqtrace_sink().block_count(),
+                  vlacnn::obs::reqtrace_sink().path().c_str());
     }
     return best.has_value() ? 0 : 1;
   } catch (const std::exception& e) {
